@@ -131,6 +131,11 @@ pub fn min_switching_register_allocation(
         }
     }
     net.add_arc(s, t, k, 0)?;
+    // Hand-offs only join a variable to one that starts after it ends.
+    debug_assert!(
+        net.is_positive_capacity_dag(),
+        "hand-off network has a cycle"
+    );
 
     let sol = LemraConfig::get()
         .backend

@@ -4,7 +4,7 @@
 //! synthesis runs, design-space sweeps revisiting operating points).
 //!
 //! `cache_solve` isolates the Solve stage on the built 512-variable
-//! allocation network (the `par_solve` baseline instance): `cold` is the
+//! allocation network (the `allocate_scaling/512` instance): `cold` is the
 //! plain fallback-chain solve, `exact_hit` is canonicalization + table
 //! lookup + permutation replay + re-validation of a resident entry, and
 //! `warm_hit` perturbs one arc cost per iteration so every request is a

@@ -3,7 +3,7 @@
 //!
 //! Benchmarks the end-to-end allocation (network construction + min-cost
 //! flow + extraction) over random instances of growing size, plus the SSP
-//! solver against the cycle-cancelling reference on the same instance.
+//! solver against the network-simplex reference on the same instance.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lemra_core::{allocate, AllocationProblem};
@@ -60,16 +60,7 @@ fn solver_comparison(c: &mut Criterion) {
     let mut group = c.benchmark_group("mincost_solvers");
     // Bench ids predate the `Backend` selector and are pinned by
     // BENCH_solver.json; keep them stable.
-    let backends = [
-        ("ssp", Backend::Ssp),
-        ("scaling", Backend::Scaling),
-        ("cycle_cancel", Backend::CycleCancel),
-        ("network_simplex", Backend::Simplex),
-        ("cost_scaling", Backend::CostScaling),
-    ];
-    // All five backends run at every size, 512 included: minimum-mean
-    // cancellation and block pivoting made the former laggards measurable
-    // at the size where `Auto` would actually consider them.
+    let backends = [("ssp", Backend::Ssp), ("network_simplex", Backend::Simplex)];
     for vars in [32usize, 128, 512] {
         let (net, s, t, f) = random_flow(vars, 7);
         for (id, backend) in backends {
@@ -81,77 +72,5 @@ fn solver_comparison(c: &mut Criterion) {
     group.finish();
 }
 
-/// The decomposed parallel solver against serial SSP on the same built
-/// 512-variable allocation network (the `allocate_scaling/512` instance
-/// minus construction and extraction, which the solver cannot speed up).
-/// `workers/k` requests `k` threads but caps the region count at the
-/// machine's cores, mirroring what `Backend::Auto` does for `LEMRA_THREADS=k`
-/// — a region only earns its cross-region settle traffic with a core of its
-/// own, so forcing more regions than cores measures a path Auto never takes.
-/// `forced_regions/4` pins four regions regardless of cores to keep that
-/// degenerate cost visible. `serial` is the plain SSP baseline each median
-/// is compared against in BENCH_solver.json.
-fn par_solve_scaling(c: &mut Criterion) {
-    use lemra_core::build_network;
-    use lemra_netflow::{min_cost_flow_par_with, min_cost_flow_with, SolverWorkspace};
-    let mut group = c.benchmark_group("par_solve");
-    let vars = 512usize;
-    let table = random_lifetimes(&RandomConfig::scaled(vars, 1));
-    let problem =
-        AllocationProblem::new(table, (vars / 8) as u32).with_activity(random_patterns(vars, 1));
-    let view = build_network(&problem).expect("builds");
-    let target = i64::from(problem.registers);
-    let mut ws = SolverWorkspace::default();
-    group.bench_function("serial", |b| {
-        b.iter(|| {
-            min_cost_flow_with(
-                black_box(&view.net),
-                view.source,
-                view.sink,
-                target,
-                &mut ws,
-            )
-            .expect("feasible")
-        });
-    });
-    ws.set_region_hints(Some(view.region_hints.clone()));
-    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-    for workers in [1usize, 2, 4, 8] {
-        let regions = workers.min(hw);
-        group.bench_with_input(BenchmarkId::new("workers", workers), &regions, |b, &w| {
-            b.iter(|| {
-                min_cost_flow_par_with(
-                    black_box(&view.net),
-                    view.source,
-                    view.sink,
-                    target,
-                    &mut ws,
-                    Some(w),
-                )
-                .expect("feasible")
-            });
-        });
-    }
-    group.bench_function("forced_regions/4", |b| {
-        b.iter(|| {
-            min_cost_flow_par_with(
-                black_box(&view.net),
-                view.source,
-                view.sink,
-                target,
-                &mut ws,
-                Some(4),
-            )
-            .expect("feasible")
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    allocation_scaling,
-    solver_comparison,
-    par_solve_scaling
-);
+criterion_group!(benches, allocation_scaling, solver_comparison);
 criterion_main!(benches);

@@ -12,27 +12,21 @@
 //!
 //! `--timings` additionally prints per-stage pipeline timings and solver
 //! counters to **stderr** (stdout — including `--json` — is byte-identical
-//! with or without the flag). `--backend
-//! <ssp|par_ssp|scaling|cycle|simplex|cost_scaling|auto>` overrides the
-//! solver backend (same values as `LEMRA_BACKEND`, which it
-//! takes precedence over); every backend reaches the same optimal
-//! objectives, and tie-broken sections commit identical allocations.
-//! `--par-solve` forces the decomposed parallel solver on every `Auto`
-//! solve (the flag form of `LEMRA_PAR_SOLVE=force`); because the builder
-//! tie-breaks costs to a unique optimum, its stdout stays byte-identical
-//! to the serial run at any `LEMRA_THREADS`.
+//! with or without the flag). `--backend <ssp|simplex>` overrides the
+//! solver backend (same values as `LEMRA_BACKEND`, which it takes
+//! precedence over); both backends reach the same optimal objectives, and
+//! tie-broken sections commit identical allocations.
 
 use lemra_bench::experiments::{
     run_figure3, run_figure4, run_headline, run_offchip, run_sizing, run_table1, Figure3Result,
     Figure4Result, HeadlineRow, OffchipRow, Row, SizingRow, Table1Row,
 };
-use lemra_netflow::{LemraConfig, ParSolve};
+use lemra_netflow::LemraConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
     let timings = args.iter().any(|a| a == "--timings");
-    let par_solve = args.iter().any(|a| a == "--par-solve");
     let base = LemraConfig::from_env().unwrap_or_else(|e| {
         eprintln!("repro: {e}");
         std::process::exit(2);
@@ -55,11 +49,6 @@ fn main() {
     LemraConfig {
         timings,
         backend,
-        par_solve: if par_solve {
-            ParSolve::Force
-        } else {
-            base.par_solve
-        },
         ..base
     }
     .install();

@@ -75,13 +75,6 @@ pub(crate) struct BuiltNetwork {
     /// because every weight is a pure function of (arc index, bits,
     /// preferred) and those are all topology-stable.
     pub tie_bits: u32,
-    /// Region-boundary hints for the parallel solver: the write node of
-    /// every variable's *first* segment. Node numbering follows segment
-    /// order, so cutting the node range at these boundaries keeps each
-    /// variable's chain of segments inside one region and reserves the
-    /// cross-region arcs for hand-offs — the cuts the decomposed settle
-    /// repairs cheapest. Topology-only, like the rest of the view.
-    pub region_hints: Vec<u32>,
 }
 
 impl BuiltNetwork {
@@ -104,7 +97,6 @@ impl BuiltNetwork {
             + cap_bytes(&self.sink_of)
             + cap_bytes(&self.tie_weights)
             + cap_bytes(&self.preferred)
-            + cap_bytes(&self.region_hints)
     }
 }
 
@@ -394,11 +386,13 @@ fn build_with_regions_in(
     let (cost_scale, cost_unit, tie_weights, tie_bits) =
         apply_tie_break(&mut net, &preferred, None);
 
-    let region_hints = segmentation
-        .iter()
-        .filter(|(id, seg)| seg.is_first && id.index() > 0)
-        .map(|(id, _)| write_node[id.index()].index() as u32)
-        .collect();
+    // Chains and hand-offs only join a segment's read to the write of a
+    // segment starting at or after its end, so the network is a DAG and SSP
+    // never meets a negative-cost cycle.
+    debug_assert!(
+        net.is_positive_capacity_dag(),
+        "allocation network has a cycle"
+    );
 
     Ok(BuiltNetwork {
         net,
@@ -417,7 +411,6 @@ fn build_with_regions_in(
         tie_weights,
         preferred,
         tie_bits,
-        region_hints,
     })
 }
 
@@ -641,12 +634,6 @@ pub struct NetworkView {
     /// Common quantum divided out of every raw cost before scaling (1 when
     /// the perturbation was skipped).
     pub cost_unit: i64,
-    /// Region-boundary hints for the parallel solver
-    /// ([`ResilientSolver::set_region_hints`]): the write node of every
-    /// variable's first segment after the first, in ascending node order.
-    ///
-    /// [`ResilientSolver::set_region_hints`]: lemra_netflow::ResilientSolver::set_region_hints
-    pub region_hints: Vec<u32>,
 }
 
 /// Builds the flow network for `problem` and returns it with the arc-handle
@@ -669,7 +656,6 @@ pub fn build_network(problem: &AllocationProblem) -> Result<NetworkView, CoreErr
         bypass: built.bypass,
         cost_scale: built.cost_scale,
         cost_unit: built.cost_unit,
-        region_hints: built.region_hints,
     })
 }
 

@@ -63,8 +63,7 @@ pub fn solve_batch(problems: &[BatchProblem<'_>]) -> Vec<Result<FlowSolution, Ne
     solve_batch_on(Backend::Ssp, problems)
 }
 
-/// [`solve_batch`] with an explicit [`Backend`] (including
-/// [`Backend::Auto`], resolved per problem against its network's shape).
+/// [`solve_batch`] with an explicit [`Backend`].
 ///
 /// Output order and per-problem results are identical to mapping
 /// [`Backend::solve`] over the slice serially.
@@ -201,7 +200,7 @@ mod tests {
                 target: 2,
             })
             .collect();
-        for backend in Backend::ALL.into_iter().chain([Backend::Auto]) {
+        for backend in Backend::ALL {
             let batched = solve_batch_on(backend, &problems);
             for (p, got) in problems.iter().zip(&batched) {
                 let serial = backend.solve(p.net, p.s, p.t, p.target).unwrap();

@@ -16,8 +16,8 @@
 //!
 //! * `max_pivots` — network-simplex pivots (the only backend whose unit of
 //!   progress is a pivot).
-//! * `max_rounds` — shortest-path / cancellation / drain rounds for the
-//!   SSP-family backends, cycle cancelling and the reoptimizer.
+//! * `max_rounds` — shortest-path / cancellation / drain rounds for SSP and
+//!   the reoptimizer (including its cycle-cancelling repair).
 //! * `deadline` — a wall-clock [`Instant`]; checked only when set, so the
 //!   default never touches the clock.
 

@@ -17,8 +17,7 @@ use crate::NetflowError;
 use std::sync::OnceLock;
 
 /// Environment variable selecting the min-cost-flow [`Backend`]
-/// (`ssp`, `scaling`, `cycle`, `simplex`, `cost_scaling`, `auto`;
-/// default `ssp`).
+/// (`ssp` or `simplex`; default `ssp`).
 pub const BACKEND_ENV: &str = "LEMRA_BACKEND";
 
 /// Environment variable overriding the worker-thread count (`1` forces
@@ -29,17 +28,6 @@ pub const THREADS_ENV: &str = "LEMRA_THREADS";
 /// cold-solve every point (escape hatch for debugging and for timing
 /// comparisons against the warm path).
 pub const COLD_ENV: &str = "LEMRA_COLD";
-
-/// Environment variable overriding the network-simplex entering-arc block
-/// size (positive integer; unset picks `max(⌈√arcs⌉, 10)` per solve).
-/// Block size 1 degenerates to a first-eligible rule, useful for pivot
-/// sequence comparisons.
-pub const SIMPLEX_BLOCK_ENV: &str = "LEMRA_SIMPLEX_BLOCK";
-
-/// Environment variable controlling when [`Backend::Auto`] engages the
-/// decomposed parallel solver (`auto` — size threshold, the default;
-/// `1`/`force`/`on` — always; `0`/`off` — never).
-pub const PAR_SOLVE_ENV: &str = "LEMRA_PAR_SOLVE";
 
 /// Environment variable selecting the cross-request allocation cache mode
 /// (`off` — default, no cache; `exact` — replay byte-identical solutions on
@@ -86,38 +74,6 @@ impl std::str::FromStr for CacheMode {
     }
 }
 
-/// When [`Backend::Auto`] hands a solve to the decomposed parallel path
-/// (`par_ssp`). Parsed from [`PAR_SOLVE_ENV`]; a concrete backend choice is
-/// never overridden by this knob.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ParSolve {
-    /// Engage above the arc-count threshold pinned in the selection table.
-    #[default]
-    Auto,
-    /// Engage on every `Auto` solve, regardless of size.
-    Force,
-    /// Never engage; `Auto` selects among the serial backends only.
-    Off,
-}
-
-impl std::str::FromStr for ParSolve {
-    type Err = NetflowError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(ParSolve::Auto),
-            "1" | "force" | "on" => Ok(ParSolve::Force),
-            "0" | "off" => Ok(ParSolve::Off),
-            other => Err(NetflowError::InvalidArc {
-                reason: format!(
-                    "{PAR_SOLVE_ENV}=`{other}` is not a parallel-solve mode \
-                     (expected auto, force/1/on or off/0)"
-                ),
-            }),
-        }
-    }
-}
-
 /// The process-wide configuration snapshot.
 ///
 /// Obtain it with [`LemraConfig::get`]; binaries with their own flags build
@@ -146,11 +102,6 @@ pub struct LemraConfig {
     /// Whether the `validate` cargo feature (in-solve invariant auditing)
     /// is compiled in — informational, for reports.
     pub validate: bool,
-    /// Entering-arc block size for the network-simplex backend; `None`
-    /// lets each solve pick `max(⌈√arcs⌉, 10)`.
-    pub simplex_block: Option<usize>,
-    /// When [`Backend::Auto`] engages the decomposed parallel solver.
-    pub par_solve: ParSolve,
     /// Cross-request allocation cache mode (default off).
     pub cache: CacheMode,
     /// Allocation cache capacity, entries per table (default 128).
@@ -165,8 +116,6 @@ impl Default for LemraConfig {
             cold: false,
             timings: false,
             validate: cfg!(feature = "validate"),
-            simplex_block: None,
-            par_solve: ParSolve::Auto,
             cache: CacheMode::Off,
             cache_cap: 128,
         }
@@ -177,8 +126,8 @@ static CONFIG: OnceLock<LemraConfig> = OnceLock::new();
 
 impl LemraConfig {
     /// Builds a configuration from the environment ([`BACKEND_ENV`],
-    /// [`THREADS_ENV`], [`COLD_ENV`], [`SIMPLEX_BLOCK_ENV`]); unset
-    /// variables fall back to the defaults. Timings are flag-only (no env
+    /// [`THREADS_ENV`], [`COLD_ENV`], [`CACHE_ENV`], [`CACHE_CAP_ENV`]);
+    /// unset variables fall back to the defaults. Timings are flag-only (no env
     /// variable), so they default to off.
     ///
     /// # Errors
@@ -192,8 +141,6 @@ impl LemraConfig {
             std::env::var(BACKEND_ENV).ok().as_deref(),
             std::env::var(THREADS_ENV).ok().as_deref(),
             std::env::var(COLD_ENV).ok().as_deref(),
-            std::env::var(SIMPLEX_BLOCK_ENV).ok().as_deref(),
-            std::env::var(PAR_SOLVE_ENV).ok().as_deref(),
             std::env::var(CACHE_ENV).ok().as_deref(),
             std::env::var(CACHE_CAP_ENV).ok().as_deref(),
         )
@@ -209,8 +156,6 @@ impl LemraConfig {
         backend: Option<&str>,
         threads: Option<&str>,
         cold: Option<&str>,
-        simplex_block: Option<&str>,
-        par_solve: Option<&str>,
         cache: Option<&str>,
         cache_cap: Option<&str>,
     ) -> Result<Self, NetflowError> {
@@ -226,17 +171,6 @@ impl LemraConfig {
             })
             .transpose()?;
         let cold = cold.is_some_and(|v| !v.is_empty() && v != "0");
-        let simplex_block = simplex_block
-            .map(|v| {
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| NetflowError::InvalidArc {
-                        reason: format!("{SIMPLEX_BLOCK_ENV}=`{v}` is not a positive block size"),
-                    })
-            })
-            .transpose()?;
-        let par_solve = par_solve.map_or(Ok(ParSolve::default()), str::parse)?;
         let cache = cache.map_or(Ok(CacheMode::default()), str::parse)?;
         let cache_cap = cache_cap
             .map(|v| {
@@ -252,8 +186,6 @@ impl LemraConfig {
             backend,
             threads,
             cold,
-            simplex_block,
-            par_solve,
             cache,
             cache_cap: cache_cap.unwrap_or(Self::default().cache_cap),
             ..Self::default()
@@ -309,7 +241,6 @@ mod tests {
         assert!(!cfg.cold);
         assert!(!cfg.timings);
         assert_eq!(cfg.threads, None);
-        assert_eq!(cfg.simplex_block, None);
     }
 
     #[test]
@@ -335,59 +266,40 @@ mod tests {
 
     #[test]
     fn from_vars_parses_each_knob() {
-        let cfg = LemraConfig::from_vars(
-            Some("simplex"),
-            Some("3"),
-            Some("1"),
-            Some("8"),
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let cfg =
+            LemraConfig::from_vars(Some("simplex"), Some("3"), Some("1"), None, None).unwrap();
         assert_eq!(cfg.backend, Backend::Simplex);
         assert_eq!(cfg.threads, Some(3));
         assert!(cfg.cold);
-        assert_eq!(cfg.simplex_block, Some(8));
-        let unset = LemraConfig::from_vars(None, None, None, None, None, None, None).unwrap();
+        let unset = LemraConfig::from_vars(None, None, None, None, None).unwrap();
         assert_eq!(unset, LemraConfig::default());
-        let off = LemraConfig::from_vars(None, None, Some("0"), None, None, None, None).unwrap();
+        let off = LemraConfig::from_vars(None, None, Some("0"), None, None).unwrap();
         assert!(!off.cold);
     }
 
     #[test]
     fn unknown_backend_is_an_error_listing_valid_names() {
-        let err =
-            LemraConfig::from_vars(Some("simplx"), None, None, None, None, None, None).unwrap_err();
+        let err = LemraConfig::from_vars(Some("simplx"), None, None, None, None).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("simplx"), "names the offender: {msg}");
-        for name in [
-            "ssp",
-            "scaling",
-            "cycle",
-            "simplex",
-            "cost_scaling",
-            "par_ssp",
-            "auto",
-        ] {
-            assert!(msg.contains(name), "lists `{name}`: {msg}");
-        }
+        assert!(msg.contains("ssp, simplex"), "lists the backends: {msg}");
     }
 
+    /// The removed backends are rejected by `LEMRA_BACKEND` and by the
+    /// binaries' `--backend` flag (both parse through `Backend::from_str`),
+    /// never silently mapped onto a remaining solver.
     #[test]
-    fn par_solve_parses_all_spellings() {
-        assert_eq!("auto".parse::<ParSolve>().unwrap(), ParSolve::Auto);
-        for force in ["1", "force", "on"] {
-            assert_eq!(force.parse::<ParSolve>().unwrap(), ParSolve::Force);
+    fn removed_backends_are_rejected() {
+        for name in ["scaling", "cycle", "cost_scaling", "par_ssp", "auto"] {
+            let env = LemraConfig::from_vars(Some(name), None, None, None, None)
+                .unwrap_err()
+                .to_string();
+            let flag = name.parse::<Backend>().unwrap_err().to_string();
+            for msg in [env, flag] {
+                assert!(msg.contains(&format!("`{name}`")), "names `{name}`: {msg}");
+                assert!(msg.contains("ssp, simplex"), "lists the backends: {msg}");
+            }
         }
-        for off in ["0", "off"] {
-            assert_eq!(off.parse::<ParSolve>().unwrap(), ParSolve::Off);
-        }
-        assert!("yes".parse::<ParSolve>().is_err());
-        let cfg =
-            LemraConfig::from_vars(None, None, None, None, Some("force"), None, None).unwrap();
-        assert_eq!(cfg.par_solve, ParSolve::Force);
-        assert!(LemraConfig::from_vars(None, None, None, None, Some("maybe"), None, None).is_err());
     }
 
     #[test]
@@ -402,34 +314,20 @@ mod tests {
                 assert!(err.contains(name), "lists `{name}`: {err}");
             }
         }
-        let cfg =
-            LemraConfig::from_vars(None, None, None, None, None, Some("warm"), Some("7")).unwrap();
+        let cfg = LemraConfig::from_vars(None, None, None, Some("warm"), Some("7")).unwrap();
         assert_eq!(cfg.cache, CacheMode::Warm);
         assert_eq!(cfg.cache_cap, 7);
         assert!(
-            LemraConfig::from_vars(None, None, None, None, None, Some("wram"), None).is_err(),
+            LemraConfig::from_vars(None, None, None, Some("wram"), None).is_err(),
             "a typo'd {CACHE_ENV} must fail loudly"
         );
-        assert!(LemraConfig::from_vars(None, None, None, None, None, None, Some("0")).is_err());
-        assert!(LemraConfig::from_vars(None, None, None, None, None, None, Some("many")).is_err());
-    }
-
-    #[test]
-    fn cost_scaling_backend_parses_from_env_vars() {
-        let cfg = LemraConfig::from_vars(Some("cost_scaling"), None, None, None, None, None, None)
-            .unwrap();
-        assert_eq!(cfg.backend, Backend::CostScaling);
-        let dashed =
-            LemraConfig::from_vars(Some("cost-scaling"), None, None, None, None, None, None)
-                .unwrap();
-        assert_eq!(dashed.backend, Backend::CostScaling);
+        assert!(LemraConfig::from_vars(None, None, None, None, Some("0")).is_err());
+        assert!(LemraConfig::from_vars(None, None, None, None, Some("many")).is_err());
     }
 
     #[test]
     fn malformed_numeric_knobs_are_errors() {
-        assert!(LemraConfig::from_vars(None, Some("zero"), None, None, None, None, None).is_err());
-        assert!(LemraConfig::from_vars(None, Some("0"), None, None, None, None, None).is_err());
-        assert!(LemraConfig::from_vars(None, None, None, Some("-1"), None, None, None).is_err());
-        assert!(LemraConfig::from_vars(None, None, None, Some("0"), None, None, None).is_err());
+        assert!(LemraConfig::from_vars(None, Some("zero"), None, None, None).is_err());
+        assert!(LemraConfig::from_vars(None, Some("0"), None, None, None).is_err());
     }
 }

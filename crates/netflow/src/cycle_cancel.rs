@@ -1,11 +1,12 @@
-//! Minimum-mean cycle-cancelling min-cost flow.
+//! Minimum-mean cycle cancelling on a residual graph.
 //!
-//! Establish any feasible flow of the requested value with [Dinic's
-//! algorithm], then repeatedly cancel the residual cycle of **minimum mean
-//! cost** until no negative cycle remains. Optimality follows from the
-//! classical negative-cycle optimality condition; picking the minimum-mean
-//! cycle (rather than an arbitrary one) is what makes the cancellation
-//! count polynomial (Goldberg & Tarjan).
+//! [`cancel_all_negative_cycles`] takes any feasible flow and repeatedly
+//! cancels the residual cycle of **minimum mean cost** until no negative
+//! cycle remains. Optimality follows from the classical negative-cycle
+//! optimality condition; picking the minimum-mean cycle (rather than an
+//! arbitrary one) is what makes the cancellation count polynomial
+//! (Goldberg & Tarjan). The [`Reoptimizer`](crate::Reoptimizer) uses it to
+//! repair retained warm state that a cost delta left with negative cycles.
 //!
 //! The minimum-mean cycle is found by **Howard's policy iteration** run per
 //! strongly connected component of the positive-capacity residual graph:
@@ -18,104 +19,19 @@
 //! offending component. Between cancellations the policy is *repaired*, not
 //! rebuilt: only nodes whose chosen edge was saturated by the push pick a
 //! new edge, so successive searches start from an almost-converged policy.
-//! Compare the previous implementation, which ran a full O(V·E)
-//! Bellman–Ford pass from scratch for every single cycle.
 //!
 //! Scratch state lives in the caller's [`SolverWorkspace`] where the types
 //! line up (`parent_edge` holds the policy, `indegree` the SCC ids,
 //! `order`/`queue` the traversal frontiers) plus a small local buffer for
 //! the 128-bit scaled node values.
-//!
-//! The primary solver is [`min_cost_flow`](crate::min_cost_flow); this one
-//! exists (a) to cross-check it in tests and (b) to handle networks that
-//! contain negative-cost *cycles*, which successive shortest paths cannot.
-//!
-//! [Dinic's algorithm]: crate::max_flow
 
-use crate::dinic::dinic;
-use crate::graph::{FlowNetwork, NodeId};
-use crate::residual::{idx, Residual};
-use crate::ssp::{check_endpoints_with, solution_from_residual};
-use crate::workspace::{with_thread_workspace, SolverWorkspace};
-use crate::{FlowSolution, NetflowError};
+use crate::residual::Residual;
+use crate::workspace::SolverWorkspace;
+use crate::NetflowError;
 
 const NONE: u32 = u32::MAX;
 
 const INF128: i128 = i128::MAX / 4;
-
-/// Solves for a minimum-cost flow of exactly `target` units from `s` to `t`,
-/// honouring arc lower bounds, by minimum-mean cycle cancelling.
-///
-/// Unlike [`min_cost_flow`](crate::min_cost_flow) this solver accepts
-/// networks with negative-cost cycles, which makes it the backend of choice
-/// for dense negative-cost cyclic networks (see [`Backend::select`]).
-///
-/// # Errors
-///
-/// * [`NetflowError::Infeasible`] if no feasible flow of value `target`
-///   exists.
-/// * [`NetflowError::InvalidArc`] / [`NetflowError::Overflow`] if
-///   [`FlowNetwork::validate_input`] rejects the instance.
-/// * [`NetflowError::BudgetExceeded`] if a workspace-carried
-///   [`SolveBudget`](crate::SolveBudget) runs out between cancellation
-///   rounds.
-///
-/// [`Backend::select`]: crate::Backend::select
-pub fn min_cost_flow_cycle_canceling(
-    net: &FlowNetwork,
-    s: NodeId,
-    t: NodeId,
-    target: i64,
-) -> Result<FlowSolution, NetflowError> {
-    with_thread_workspace(|ws| min_cost_flow_cycle_canceling_with(net, s, t, target, ws))
-}
-
-/// [`min_cost_flow_cycle_canceling`] with an explicit workspace, for sweeps
-/// that want to amortise the scratch buffers across solves.
-///
-/// # Errors
-///
-/// Same as [`min_cost_flow_cycle_canceling`].
-pub fn min_cost_flow_cycle_canceling_with(
-    net: &FlowNetwork,
-    s: NodeId,
-    t: NodeId,
-    target: i64,
-    ws: &mut SolverWorkspace,
-) -> Result<FlowSolution, NetflowError> {
-    check_endpoints_with(net, s, t, target, ws)?;
-    let n = net.node_count();
-
-    // Feasibility: same excess/deficit reduction as the SSP solver, but we
-    // only need *a* feasible flow, so Dinic suffices.
-    let mut res = Residual::from_network(net, 2);
-    let super_s = n;
-    let super_t = n + 1;
-    let mut excess = vec![0i64; n];
-    for (_, arc) in net.arcs() {
-        excess[idx(arc.to)] += arc.lower_bound;
-        excess[idx(arc.from)] -= arc.lower_bound;
-    }
-    excess[idx(s)] += target;
-    excess[idx(t)] -= target;
-    let mut required = 0i64;
-    for (v, &e) in excess.iter().enumerate() {
-        if e > 0 {
-            res.add_edge(super_s, v, e, 0);
-            required += e;
-        } else if e < 0 {
-            res.add_edge(v, super_t, -e, 0);
-        }
-    }
-    res.finalize();
-    let achieved = dinic(&mut res, super_s, super_t);
-    if achieved < required {
-        return Err(NetflowError::Infeasible { required, achieved });
-    }
-
-    cancel_all_negative_cycles(&mut res, ws)?;
-    Ok(solution_from_residual(net, &res, target))
-}
 
 /// Out-of-line budget check for the cancellation loop — see the call site
 /// for why this must not inline.
@@ -1254,8 +1170,30 @@ fn karp_negative_cycle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::min_cost_flow;
+    use crate::dinic::dinic;
+    use crate::graph::{FlowNetwork, NodeId};
+    use crate::ssp::solution_from_residual;
+    use crate::{min_cost_flow, min_cost_flow_network_simplex};
     use proptest::prelude::*;
+
+    /// Routes `target` units `s -> t` cost-blind with Dinic (through a
+    /// super-source arc capped at `target`), then cancels every negative
+    /// cycle; returns the cost of the resulting flow.
+    fn cancel_from_feasible(
+        net: &FlowNetwork,
+        s: NodeId,
+        t: NodeId,
+        target: i64,
+        ws: &mut SolverWorkspace,
+    ) -> Result<i64, NetflowError> {
+        let mut res = Residual::from_network(net, 1);
+        let super_s = net.node_count();
+        res.add_edge(super_s, s.index(), target, 0);
+        res.finalize();
+        assert_eq!(dinic(&mut res, super_s, t.index()), target, "feasible");
+        cancel_all_negative_cycles(&mut res, ws)?;
+        Ok(solution_from_residual(net, &res, target).cost)
+    }
 
     #[test]
     fn matches_ssp_on_dag() {
@@ -1269,54 +1207,50 @@ mod tests {
         net.add_arc(a, b, 1, -2).unwrap();
         net.add_arc(a, t, 1, 6).unwrap();
         net.add_arc(b, t, 3, 1).unwrap();
+        let mut ws = SolverWorkspace::new();
         for f in 0..=3 {
             let ssp = min_cost_flow(&net, s, t, f).unwrap();
-            let cc = min_cost_flow_cycle_canceling(&net, s, t, f).unwrap();
-            assert_eq!(ssp.cost, cc.cost, "flow value {f}");
+            let cc = cancel_from_feasible(&net, s, t, f, &mut ws).unwrap();
+            assert_eq!(ssp.cost, cc, "flow value {f}");
         }
+    }
+
+    /// Cycle a -> b -> a with total cost -2: the optimum saturates it even
+    /// though it carries no s-t flow.
+    fn negative_cycle_net() -> (FlowNetwork, NodeId, NodeId) {
+        let mut net = FlowNetwork::new();
+        let s = net.add_node();
+        let a = net.add_node();
+        let b = net.add_node();
+        let t = net.add_node();
+        net.add_arc(s, a, 1, 0).unwrap();
+        net.add_arc(a, b, 2, -3).unwrap();
+        net.add_arc(b, a, 2, 1).unwrap();
+        net.add_arc(b, t, 1, 0).unwrap();
+        (net, s, t)
     }
 
     #[test]
     fn handles_negative_cycle() {
-        // Cycle a -> b -> a with total cost -2: the optimum saturates it even
-        // though it carries no s-t flow.
-        let mut net = FlowNetwork::new();
-        let s = net.add_node();
-        let a = net.add_node();
-        let b = net.add_node();
-        let t = net.add_node();
-        net.add_arc(s, a, 1, 0).unwrap();
-        net.add_arc(a, b, 2, -3).unwrap();
-        net.add_arc(b, a, 2, 1).unwrap();
-        net.add_arc(b, t, 1, 0).unwrap();
-        let sol = min_cost_flow_cycle_canceling(&net, s, t, 1).unwrap();
+        let (net, s, t) = negative_cycle_net();
+        let cost = cancel_from_feasible(&net, s, t, 1, &mut SolverWorkspace::new()).unwrap();
         // One unit s->a->b->t (-3) plus one residual cycle a->b->a (-2).
-        assert_eq!(sol.cost, -5);
+        assert_eq!(cost, -5);
+        assert_eq!(
+            min_cost_flow_network_simplex(&net, s, t, 1).unwrap().cost,
+            cost
+        );
     }
 
     #[test]
     fn exhausted_round_budget_is_a_typed_error() {
-        // Same negative-cycle instance as `handles_negative_cycle`: the
-        // cancellation loop must run, so a zero-round budget trips before
-        // the first round, out-of-line check and `limited` guard included.
-        let mut net = FlowNetwork::new();
-        let s = net.add_node();
-        let a = net.add_node();
-        let b = net.add_node();
-        let t = net.add_node();
-        net.add_arc(s, a, 1, 0).unwrap();
-        net.add_arc(a, b, 2, -3).unwrap();
-        net.add_arc(b, a, 2, 1).unwrap();
-        net.add_arc(b, t, 1, 0).unwrap();
-        let err = crate::Backend::CycleCancel
-            .solve_with_budget(
-                &net,
-                s,
-                t,
-                1,
-                crate::SolveBudget::default().with_max_rounds(0),
-            )
-            .unwrap_err();
+        // The cancellation loop must run on this instance, so a zero-round
+        // budget trips before the first round, out-of-line check and
+        // `limited` guard included.
+        let (net, s, t) = negative_cycle_net();
+        let mut ws = SolverWorkspace::new();
+        ws.set_budget(crate::SolveBudget::default().with_max_rounds(0));
+        let err = cancel_from_feasible(&net, s, t, 1, &mut ws).unwrap_err();
         assert!(matches!(
             err,
             NetflowError::BudgetExceeded {
@@ -1326,44 +1260,8 @@ mod tests {
             }
         ));
         // An adequate budget leaves the optimum untouched.
-        let sol = crate::Backend::CycleCancel
-            .solve_with_budget(
-                &net,
-                s,
-                t,
-                1,
-                crate::SolveBudget::default().with_max_rounds(64),
-            )
-            .unwrap();
-        assert_eq!(sol.cost, -5);
-    }
-
-    #[test]
-    fn lower_bounds_respected() {
-        let mut net = FlowNetwork::new();
-        let s = net.add_node();
-        let a = net.add_node();
-        let b = net.add_node();
-        let t = net.add_node();
-        net.add_arc_bounded(s, a, 1, 1, 100).unwrap();
-        net.add_arc(a, t, 1, 0).unwrap();
-        net.add_arc(s, b, 1, 0).unwrap();
-        net.add_arc(b, t, 1, 0).unwrap();
-        let sol = min_cost_flow_cycle_canceling(&net, s, t, 1).unwrap();
-        assert_eq!(sol.cost, 100);
-        assert_eq!(sol.flows[0], 1);
-    }
-
-    #[test]
-    fn infeasible_target() {
-        let mut net = FlowNetwork::new();
-        let s = net.add_node();
-        let t = net.add_node();
-        net.add_arc(s, t, 1, 0).unwrap();
-        assert!(matches!(
-            min_cost_flow_cycle_canceling(&net, s, t, 2),
-            Err(NetflowError::Infeasible { .. })
-        ));
+        ws.set_budget(crate::SolveBudget::default().with_max_rounds(64));
+        assert_eq!(cancel_from_feasible(&net, s, t, 1, &mut ws).unwrap(), -5);
     }
 
     /// Minimum-mean cycle of `net`'s fresh residual graph, via the
@@ -1470,10 +1368,8 @@ mod tests {
             }
         }
 
-        /// Cancelling on random cyclic nets always matches the simplex's
-        /// objective is covered by the integration proptests; here: the
-        /// solver must never report a *worse* objective than plain SSP on
-        /// DAGs (they must be equal).
+        /// Cancelling from a cost-blind feasible flow on random DAGs must
+        /// reach exactly SSP's objective.
         #[test]
         fn agrees_with_ssp_on_random_dags(
             arcs in proptest::collection::vec(
@@ -1492,8 +1388,10 @@ mod tests {
             }
             net.add_arc(nodes[0], nodes[7], 8, 50).unwrap(); // keep feasible
             let ssp = min_cost_flow(&net, nodes[0], nodes[7], target).unwrap();
-            let cc = min_cost_flow_cycle_canceling(&net, nodes[0], nodes[7], target).unwrap();
-            prop_assert_eq!(ssp.cost, cc.cost);
+            let cc = cancel_from_feasible(
+                &net, nodes[0], nodes[7], target, &mut SolverWorkspace::new(),
+            ).unwrap();
+            prop_assert_eq!(ssp.cost, cc);
         }
     }
 }

@@ -21,14 +21,6 @@
 //! `catch_unwind` region, so an injected panic exercises the genuine
 //! containment path, not a shortcut.
 //!
-//! The backend qualifier `region<k>` (e.g. `panic@0:region<k>`) targets
-//! settle region `k` of the decomposed parallel solver instead of a whole
-//! backend attempt: the panic fires inside region `k`'s worker on the
-//! first parallel settle that reaches it (the solve index is ignored),
-//! travels to the coordinating thread, and surfaces as an ordinary
-//! `SolverPanicked` incident for the resilience chain to absorb. Only
-//! `panic` faults accept a region qualifier.
-//!
 //! # Request-scoped faults (the allocation server)
 //!
 //! `lemra-server` workers wrap each request in a [`RequestScope`] guard, so
@@ -54,8 +46,7 @@ use std::sync::{Mutex, OnceLock};
 /// Environment variable holding the fault specification
 /// (`kind@target[:qualifier]`, comma-separated; kinds: `panic`, `budget`,
 /// `overflow`, `conn`; target: solve index, request id for `conn`, or the
-/// wildcard `solve`; qualifier: backend name, `region<k>`, `cache` or
-/// `req<id>`).
+/// wildcard `solve`; qualifier: backend name, `cache` or `req<id>`).
 pub const FAULT_ENV: &str = "LEMRA_FAULT";
 
 /// The kind of failure an injected fault simulates.
@@ -92,9 +83,9 @@ impl FaultKind {
 struct Fault {
     kind: FaultKind,
     at: Option<u64>,
-    /// Restrict to attempts running this backend (or the `region<k>` /
-    /// `cache` / `req<id>` conventions); `None` hits the first attempt of
-    /// the solve regardless of backend.
+    /// Restrict to attempts running this backend (or the `cache` /
+    /// `req<id>` conventions); `None` hits the first attempt of the solve
+    /// regardless of backend.
     backend: Option<String>,
     fired: bool,
 }
@@ -352,31 +343,6 @@ impl std::str::FromStr for FaultPlan {
     }
 }
 
-/// Consults the active plan for a `panic` fault pinned to settle region
-/// `region` of the decomposed parallel solver, via the backend qualifier
-/// convention `region<k>` (e.g. `LEMRA_FAULT=panic@0:region0`). Region
-/// faults fire on the first parallel settle that reaches that region's
-/// worker — the solve index in the spec is ignored, because region workers
-/// have no view of the resilience layer's solve counter. Fires once, like
-/// every fault.
-pub(crate) fn maybe_inject_region(region: usize) -> bool {
-    let mut guard = ACTIVE.lock().expect("fault plan lock poisoned");
-    let Some(plan) = guard.as_mut() else {
-        return false;
-    };
-    let name = format!("region{region}");
-    for fault in &mut plan.faults {
-        if fault.fired || fault.kind != FaultKind::Panic {
-            continue;
-        }
-        if fault.backend.as_deref() == Some(name.as_str()) {
-            fault.fired = true;
-            return true;
-        }
-    }
-    false
-}
-
 /// Injection point inside a cache-hit solve, selected by the backend-name
 /// convention `cache` (e.g. `LEMRA_FAULT=panic@0:cache`). The allocation
 /// cache consults it at both of its hit paths — the exact-entry replay and
@@ -600,22 +566,6 @@ mod tests {
         let plan: FaultPlan = "panic@0".parse().unwrap();
         plan.install();
         assert!(!maybe_inject_cache());
-        FaultPlan::clear();
-    }
-
-    #[test]
-    fn region_faults_match_the_region_qualifier_and_fire_once() {
-        let _serial = serial();
-        let plan: FaultPlan = "panic@0:region1".parse().unwrap();
-        plan.install();
-        assert!(!maybe_inject_region(0));
-        assert!(maybe_inject_region(1));
-        assert!(!maybe_inject_region(1));
-        // Only panic faults can target a region worker.
-        FaultPlan::new()
-            .fail_backend_at(FaultKind::Budget, 0, "region0")
-            .install();
-        assert!(!maybe_inject_region(0));
         FaultPlan::clear();
     }
 }

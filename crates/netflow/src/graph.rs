@@ -338,6 +338,35 @@ impl FlowNetwork {
         node.index() < self.node_count
     }
 
+    /// True if the subgraph of positive-capacity arcs is acyclic (Kahn's
+    /// algorithm, O(V + E)). Such a network has no negative-cost cycle
+    /// before any flow moves, whatever its costs, which is the condition
+    /// [`min_cost_flow`](crate::min_cost_flow) needs. Residual arcs don't
+    /// matter here: only forward arcs have capacity before a solve, and a
+    /// negative cycle needs capacity on every arc.
+    pub fn is_positive_capacity_dag(&self) -> bool {
+        let n = self.node_count;
+        let mut indegree = vec![0u32; n];
+        // Bucket arcs by tail once so the peel is O(V + E).
+        let mut head: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for arc in self.arcs.iter().filter(|a| a.capacity > 0) {
+            indegree[arc.to.index()] += 1;
+            head[arc.from.index()].push(arc.to.index() as u32);
+        }
+        let mut queue: Vec<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
+        let mut seen = 0usize;
+        while let Some(u) = queue.pop() {
+            seen += 1;
+            for &v in &head[u] {
+                indegree[v as usize] -= 1;
+                if indegree[v as usize] == 0 {
+                    queue.push(v as usize);
+                }
+            }
+        }
+        seen == n
+    }
+
     /// Validates this network together with a solve request, rejecting
     /// malformed inputs with a typed error before any solver touches them.
     ///
@@ -358,8 +387,9 @@ impl FlowNetwork {
     ///   (`Σ |cost|·max(capacity, 1)`, the bound on any distance, potential
     ///   or objective the solvers form) does not fit the solvers' `i64`
     ///   arithmetic with its `i64::MAX / 4` sentinel headroom
-    ///   ([`NetflowError::Overflow`]); backends with an `i128` wide path
-    ///   (cycle cancelling) select it themselves below this threshold.
+    ///   ([`NetflowError::Overflow`]); the reoptimizer's cycle canceller,
+    ///   which has an `i128` wide path, selects it itself below this
+    ///   threshold.
     ///
     /// # Errors
     ///
@@ -450,7 +480,7 @@ impl FlowNetwork {
                 (a.cost.unsigned_abs() as u128) * (a.capacity.unsigned_abs().max(1) as u128),
             );
         }
-        // The SSP family treats i64::MAX / 4 as infinity and forms sums of
+        // SSP treats i64::MAX / 4 as infinity and forms sums of
         // distances, potentials and arc costs below it; keep the worst-case
         // accumulated cost strictly inside that headroom.
         if cost_mass >= (i64::MAX / 4) as u128 {
@@ -492,6 +522,19 @@ mod tests {
         assert_eq!(a.index(), 0);
         assert_eq!(b.index(), 1);
         assert_eq!(net.node_count(), 2);
+    }
+
+    #[test]
+    fn positive_capacity_dag_ignores_zero_capacity_back_arcs() {
+        let mut net = FlowNetwork::new();
+        let (a, b, c) = (net.add_node(), net.add_node(), net.add_node());
+        net.add_arc(a, b, 1, -3).unwrap();
+        net.add_arc(b, c, 1, 2).unwrap();
+        assert!(net.is_positive_capacity_dag());
+        let back = net.add_arc(c, a, 0, -9).unwrap();
+        assert!(net.is_positive_capacity_dag());
+        net.set_arc_capacity(back, 1).unwrap();
+        assert!(!net.is_positive_capacity_dag());
     }
 
     #[test]

@@ -7,24 +7,19 @@
 //! paper's "forced register" arcs of §5.2) and possibly **negative** costs
 //! (a register placement *saves* memory energy, eq. (4)).
 //!
-//! Five independent solvers are provided:
+//! Two independent solvers are provided:
 //!
 //! * [`min_cost_flow`] — successive shortest paths with node potentials; the
 //!   production solver, polynomial time, requires the network to be free of
-//!   negative-cost cycles (allocation networks are DAGs, so this holds).
-//! * [`min_cost_flow_cycle_canceling`] — minimum-mean cycle cancelling
-//!   (Howard's policy iteration); the solver of choice for networks with
-//!   negative-cost cycles, and a cross-check elsewhere.
-//! * [`min_cost_flow_scaling`] — a capacity-scaling variant for networks
-//!   with large capacities; a third independent implementation.
+//!   negative-cost cycles. Every network the allocator builds is a
+//!   positive-capacity DAG ([`FlowNetwork::is_positive_capacity_dag`],
+//!   asserted by the builders in debug builds), so this always holds there.
 //! * [`min_cost_flow_network_simplex`] — the classical network simplex with
-//!   block-search pivoting and a strongly feasible basis, handling
-//!   negative-cost cycles; a fourth independent implementation.
-//! * [`min_cost_flow_cost_scaling`] — Goldberg–Tarjan push-relabel with
-//!   ε-scaling (push-lookahead, price refinement and set-relabel
-//!   heuristics); handles negative-cost cycles natively and is the
-//!   auto-selected backend for cyclic networks; a fifth independent
-//!   implementation.
+//!   block-search pivoting and a strongly feasible basis; it shares no code
+//!   with SSP and handles negative-cost cycles, which makes it the reference
+//!   the tests and `LEMRA_BACKEND=simplex` cross-check SSP against.
+//!
+//! [`Backend`] names the two as configuration data.
 //!
 //! Plus [`max_flow`] (Dinic), [`validate`] for auditing any solution, and
 //! [`FlowSolution::decompose_paths`] to extract the register chains.
@@ -32,50 +27,29 @@
 //! For parameter sweeps — sequences of solves over networks that differ
 //! only in a few arc costs, capacities or the flow value — [`Reoptimizer`]
 //! retains the optimal residual graph and potentials between calls and
-//! repairs optimality from the deltas instead of re-solving from scratch.
+//! repairs optimality from the deltas instead of re-solving from scratch;
+//! when a delta leaves negative cycles in the retained state it cancels
+//! them with minimum-mean cycle cancelling (Howard's policy iteration).
 //!
 //! # Solver performance
 //!
-//! The residual graph all solvers share stores adjacency in compressed
-//! sparse row form: one flat edge-index array plus per-node offsets, built
-//! once per solve by a counting sort. The shortest-path solvers keep their
-//! per-node scratch state (distances, parent pointers, the heap) in a
-//! [`SolverWorkspace`] reused across augmentations; the plain entry points
-//! keep one workspace per thread, and [`min_cost_flow_with`] /
-//! [`min_cost_flow_scaling_with`] accept an explicit one for sweeps. On DAG
-//! inputs — every network the allocator builds — the initial potentials come
-//! from a single O(V+E) topological relaxation instead of Bellman–Ford;
-//! cyclic networks fall back to deque-based SPFA. Dijkstra's frontier is a
-//! monotone radix heap rather than a binary heap — profiling the 512-variable
-//! allocation showed the solve heap-bound (≈490k pushes and 170k pops per
-//! solve), and bucketed O(1) pushes are what the counting favours.
-//! Independent solves batch across threads with [`solve_batch`].
-//! Within a single large solve, [`min_cost_flow_par`] decomposes the
-//! network into node regions, prunes each Dijkstra round to a per-node
-//! top-K working set and settles the regions concurrently, repairing
-//! optimality at the region cuts from the dual certificate
-//! (`LEMRA_PAR_SOLVE` / [`ParSsp`] select it explicitly).
+//! The residual graph stores adjacency in compressed sparse row form: one
+//! flat edge-index array plus per-node offsets, built once per solve by a
+//! counting sort. SSP keeps its per-node scratch state (distances, parent
+//! pointers, the heap) in a [`SolverWorkspace`] reused across
+//! augmentations; the plain entry points keep one workspace per thread, and
+//! [`min_cost_flow_with`] accepts an explicit one for sweeps. On DAG
+//! inputs — every network the allocator builds — the initial potentials
+//! come from a single O(V+E) topological relaxation instead of
+//! Bellman–Ford; cyclic networks fall back to deque-based SPFA. Dijkstra's
+//! frontier is a monotone radix heap rather than a binary heap — profiling
+//! the 512-variable allocation showed the solve heap-bound (≈490k pushes
+//! and 170k pops per solve), and bucketed O(1) pushes are what the counting
+//! favours. Independent solves batch across threads with [`solve_batch`].
 //!
-//! Together these changes take the end-to-end 512-variable allocation
-//! benchmark from 209.3 ms to 54.5 ms (3.8×); the smaller sizes in the
-//! `allocate_scaling` sweep improve 2.2–2.8×, the raw SSP solve 2.3× and the
-//! capacity-scaling solve 3.0× (criterion medians, recorded in
-//! `BENCH_solver.json` at the repository root).
-//!
-//! The two cross-check backends are tuned rather than merely correct.
-//! Cycle cancelling replaces the old fresh O(V·E) Bellman–Ford per cycle
-//! with three cooperating phases over the residual CSR: a greedy bulk
-//! phase that sweeps the cheapest-out-edge policy and cancels its negative
-//! cycles at O(V) a sweep, Howard's minimum-mean policy iteration per SCC
-//! with *eager* cancellation and incremental policy repair (Karp's
-//! recurrence backs the extraction when Howard's round budget trips), and
-//! one whole-graph Bellman–Ford pass whose converged distances are
-//! feasible potentials — an exact certificate of emptiness that costs a
-//! few linear sweeps instead of another SCC + convergence round. The
-//! network simplex picks entering arcs by a resumable block search while
-//! maintaining a strongly feasible basis that relabels only the smaller
-//! subtree per pivot ([`min_cost_flow_network_simplex_with_block`] pins the
-//! block size; `LEMRA_SIMPLEX_BLOCK` tunes the default).
+//! The network simplex picks entering arcs by a resumable block search
+//! while maintaining a strongly feasible basis that relabels only the
+//! smaller subtree per pivot.
 //!
 //! Enabling the `validate` cargo feature arms a per-edge reduced-cost check
 //! inside Dijkstra that turns a violated optimality invariant into
@@ -108,9 +82,7 @@ mod batch;
 mod budget;
 mod canon;
 mod config;
-mod cost_scaling;
 mod cycle_cancel;
-mod decompose;
 mod dinic;
 mod dot;
 #[cfg(feature = "fault-inject")]
@@ -120,7 +92,6 @@ mod radix;
 mod reopt;
 mod residual;
 mod resilience;
-mod scaling;
 mod simplex;
 mod solution;
 mod solver;
@@ -131,12 +102,8 @@ pub use batch::{solve_batch, solve_batch_on, BatchProblem};
 pub use budget::SolveBudget;
 pub use canon::{canonicalize, CacheStamp, CanonicalInstance, Fingerprint};
 pub use config::{
-    CacheMode, LemraConfig, ParSolve, BACKEND_ENV, CACHE_CAP_ENV, CACHE_ENV, COLD_ENV,
-    PAR_SOLVE_ENV, SIMPLEX_BLOCK_ENV, THREADS_ENV,
+    CacheMode, LemraConfig, BACKEND_ENV, CACHE_CAP_ENV, CACHE_ENV, COLD_ENV, THREADS_ENV,
 };
-pub use cost_scaling::{min_cost_flow_cost_scaling, min_cost_flow_cost_scaling_with};
-pub use cycle_cancel::{min_cost_flow_cycle_canceling, min_cost_flow_cycle_canceling_with};
-pub use decompose::{min_cost_flow_par, min_cost_flow_par_with};
 pub use dinic::max_flow;
 pub use dot::to_dot;
 #[cfg(feature = "fault-inject")]
@@ -147,13 +114,9 @@ pub use fault::{
 pub use graph::{Arc, ArcId, FlowNetwork, NodeId};
 pub use reopt::Reoptimizer;
 pub use resilience::{ResilientSolver, SolverIncident};
-pub use scaling::{min_cost_flow_scaling, min_cost_flow_scaling_with};
-pub use simplex::{min_cost_flow_network_simplex, min_cost_flow_network_simplex_with_block};
+pub use simplex::min_cost_flow_network_simplex;
 pub use solution::{validate, FlowSolution};
-pub use solver::{
-    Backend, CapacityScaling, CostScalingSolver, CycleCancelling, McfSolver, NetworkSimplex,
-    ParSsp, Ssp,
-};
+pub use solver::{Backend, McfSolver, NetworkSimplex, Ssp};
 pub use ssp::{min_cost_flow, min_cost_flow_with};
 pub use workspace::{thread_solver_stats, SolverStats, SolverWorkspace};
 
@@ -174,7 +137,7 @@ pub enum NetflowError {
         achieved: i64,
     },
     /// A negative-cost cycle was found; use
-    /// [`min_cost_flow_cycle_canceling`] instead.
+    /// [`min_cost_flow_network_simplex`] instead.
     NegativeCycle,
     /// A flow decomposition found circulating flow not routable from the
     /// source.
@@ -192,8 +155,8 @@ pub enum NetflowError {
     /// solution; re-solve with a larger budget or let a
     /// [`ResilientSolver`] fall back to another backend.
     BudgetExceeded {
-        /// The backend that hit the limit (`ssp`, `par_ssp`, `scaling`,
-        /// `cycle`, `simplex`, `cost_scaling`, `reopt`).
+        /// The backend that hit the limit (`ssp`, `simplex`, `reopt`, or
+        /// `cycle` for the reoptimizer's cycle-cancelling repair).
         backend: &'static str,
         /// The phase the limit tripped in (`augment`, `cancel`, `pivot`,
         /// `drain`, …).

@@ -72,7 +72,7 @@ use crate::residual::Residual;
 use crate::ssp::{
     check_endpoints, solution_from_residual, ssp_run, transform, update_potentials, Transformed,
 };
-use crate::workspace::{SolverWorkspace, INF};
+use crate::workspace::{NodeState, SolverWorkspace, INF};
 use crate::{FlowSolution, NetflowError};
 
 /// Warm-start solver for sweeps of related min-cost-flow problems.
@@ -461,7 +461,7 @@ impl State {
     /// no negative residual cycle through them converge this way — the
     /// retained flow stays optimal and no excess is created. A node on (or
     /// fed by) a negative residual cycle would be lowered forever; after
-    /// [`Self::MAX_RELAX`] lowerings a node is frozen instead, bounding how
+    /// `MAX_RELAX` lowerings a node is frozen instead, bounding how
     /// far cycle-driven lowering can deflate the prices (unbounded lowering
     /// makes *more* edges look negative at saturation time, inflating the
     /// drain far beyond the genuine flow change). Returns `true` when the
@@ -469,15 +469,64 @@ impl State {
     /// has to move; `false` otherwise, and the caller saturates whatever is
     /// still negative so the drain can re-route it.
     fn refine_prices(&mut self) -> bool {
-        // The shared refinement works on a plain potential slice (the
-        // parallel join pass has no `NodeState` array); copy out and back.
-        let n = self.res.node_count();
-        let mut pot: Vec<i64> = self.ws.node[..n].iter().map(|st| st.potential).collect();
-        let ok = refine_prices_raw(&self.res, &mut pot);
-        for (st, &p) in self.ws.node[..n].iter_mut().zip(&pot) {
-            st.potential = p;
+        let res = &self.res;
+        let n = res.node_count();
+        let pot = &mut self.ws.node[..n];
+        // A node lowered this many times sits on or behind a negative
+        // cycle; genuine propagation chains re-lower a node only when
+        // distinct violation fronts meet, which a small constant covers.
+        const MAX_RELAX: u8 = 8;
+        let mut lowered = vec![0u8; n];
+        let mut in_queue = vec![false; n];
+        let mut queue = std::collections::VecDeque::new();
+        let mut frozen = false;
+        // One full sweep seeds the queue with every violated edge's head;
+        // after that, work is proportional to the affected region.
+        let relax = |u: usize,
+                     pot: &mut [NodeState],
+                     queue: &mut std::collections::VecDeque<u32>,
+                     lowered: &mut [u8],
+                     in_queue: &mut [bool],
+                     frozen: &mut bool| {
+            let pu = pot[u].potential;
+            if pu >= INF {
+                return;
+            }
+            for slot in res.active_slots(u) {
+                if res.slots[slot].cap <= 0 {
+                    continue;
+                }
+                let v = res.slots[slot].to as usize;
+                if pot[v].potential >= INF {
+                    continue;
+                }
+                let bound = pu + res.slots[slot].cost;
+                if bound < pot[v].potential {
+                    if lowered[v] >= MAX_RELAX {
+                        *frozen = true;
+                        continue;
+                    }
+                    lowered[v] += 1;
+                    pot[v].potential = bound;
+                    if !in_queue[v] {
+                        in_queue[v] = true;
+                        queue.push_back(v as u32);
+                    }
+                }
+            }
+        };
+        for u in 0..n {
+            relax(u, pot, &mut queue, &mut lowered, &mut in_queue, &mut frozen);
         }
-        ok
+        // Each pop scans one node's slots; the cap over all pops is
+        // MAX_RELAX enqueues per node, so the total work is bounded by
+        // MAX_RELAX full sweeps even in the worst case.
+        while let Some(u) = queue.pop_front() {
+            let u = u as usize;
+            in_queue[u] = false;
+            relax(u, pot, &mut queue, &mut lowered, &mut in_queue, &mut frozen);
+        }
+        !frozen
     }
 
     /// Fallback for a failed price refinement: cancels every negative
@@ -664,81 +713,6 @@ impl State {
         }
         Ok(())
     }
-}
-
-/// Queue-driven Bellman–Ford relaxation restoring the reduced-cost
-/// certificate by *lowering potentials*: a violated edge `u → v` gets
-/// `π_v = π_u + c(e)`, the largest value satisfying it. Violations with
-/// no negative residual cycle through them converge this way — the
-/// retained flow stays optimal and no excess is created. A node on (or
-/// fed by) a negative residual cycle would be lowered forever; after
-/// `MAX_RELAX` lowerings a node is frozen instead, bounding how far
-/// cycle-driven lowering can deflate the prices (unbounded lowering makes
-/// *more* edges look negative at saturation time, inflating the repair far
-/// beyond the genuine flow change). Returns `true` when the queue drains
-/// with no node frozen — `pot` is then a valid potential and the current
-/// flow is optimal at its value; `false` otherwise.
-///
-/// Shared between [`Reoptimizer`]'s warm-start repair and the decomposed
-/// parallel path's join pass, which is why it takes a plain slice rather
-/// than the workspace `NodeState` array.
-pub(crate) fn refine_prices_raw(res: &Residual, pot: &mut [i64]) -> bool {
-    // A node lowered this many times sits on or behind a negative
-    // cycle; genuine propagation chains re-lower a node only when
-    // distinct violation fronts meet, which a small constant covers.
-    const MAX_RELAX: u8 = 8;
-    let n = res.node_count();
-    let mut lowered = vec![0u8; n];
-    let mut in_queue = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    let mut frozen = false;
-    // One full sweep seeds the queue with every violated edge's head;
-    // after that, work is proportional to the affected region.
-    let relax = |u: usize,
-                 pot: &mut [i64],
-                 queue: &mut std::collections::VecDeque<u32>,
-                 lowered: &mut [u8],
-                 in_queue: &mut [bool],
-                 frozen: &mut bool| {
-        let pu = pot[u];
-        if pu >= INF {
-            return;
-        }
-        for slot in res.active_slots(u) {
-            if res.slots[slot].cap <= 0 {
-                continue;
-            }
-            let v = res.slots[slot].to as usize;
-            if pot[v] >= INF {
-                continue;
-            }
-            let bound = pu + res.slots[slot].cost;
-            if bound < pot[v] {
-                if lowered[v] >= MAX_RELAX {
-                    *frozen = true;
-                    continue;
-                }
-                lowered[v] += 1;
-                pot[v] = bound;
-                if !in_queue[v] {
-                    in_queue[v] = true;
-                    queue.push_back(v as u32);
-                }
-            }
-        }
-    };
-    for u in 0..n {
-        relax(u, pot, &mut queue, &mut lowered, &mut in_queue, &mut frozen);
-    }
-    // Each pop scans one node's slots; the cap over all pops is
-    // MAX_RELAX enqueues per node, so the total work is bounded by
-    // MAX_RELAX full sweeps even in the worst case.
-    while let Some(u) = queue.pop_front() {
-        let u = u as usize;
-        in_queue[u] = false;
-        relax(u, pot, &mut queue, &mut lowered, &mut in_queue, &mut frozen);
-    }
-    !frozen
 }
 
 #[cfg(test)]

@@ -129,22 +129,11 @@ pub(crate) struct Residual {
     /// Kahn's algorithm outright. Cleared by the first push, which may
     /// create a backward (descending) residual edge.
     pub monotone: bool,
-    /// Largest initially-positive slot capacity of the last build — the
-    /// capacity-scaling solver's Δ seed, computed during placement so the
-    /// solver does not rescan the slot array per solve.
-    pub max_build_cap: i64,
     /// Rollback cache identity; `Some` while the journal faithfully records
     /// every live-state mutation since the pristine build.
     built: Option<BuiltMeta>,
     /// Mutation journal; see [`BuiltMeta`].
     journal: Vec<JournalOp>,
-    /// Edge ids touched by [`Residual::push`] while `log_pushes` is on —
-    /// the decomposed solver drains this between rounds to patch its
-    /// compact copy of the kept capacities instead of re-reading every
-    /// slot.
-    pub edge_log: Vec<u32>,
-    /// Whether `push` appends to `edge_log`.
-    log_pushes: bool,
 }
 
 impl Default for Residual {
@@ -169,25 +158,9 @@ impl Residual {
             cursor2: Vec::new(),
             excess: Vec::new(),
             monotone: false,
-            max_build_cap: 0,
             built: None,
             journal: Vec::new(),
-            edge_log: Vec::new(),
-            log_pushes: false,
         }
-    }
-
-    /// Starts recording the edge id of every [`Residual::push`] into
-    /// [`Residual::edge_log`], clearing whatever a previous solve left.
-    pub fn start_push_log(&mut self) {
-        self.edge_log.clear();
-        self.log_pushes = true;
-    }
-
-    /// Stops recording pushes and discards the log.
-    pub fn stop_push_log(&mut self) {
-        self.edge_log.clear();
-        self.log_pushes = false;
     }
 
     /// Builds the residual graph of `net` ignoring lower bounds (callers
@@ -369,18 +342,15 @@ impl Residual {
             };
             slot_of[e as usize] = slot as u32;
         };
-        let mut max_cap = 0i64;
         for (i, arc) in arcs.iter().enumerate() {
             let (u, v) = (arc.from.index(), arc.to.index());
             let rc = arc.capacity - arc.lower_bound;
             let e = (2 * i) as u32;
-            max_cap = max_cap.max(rc);
             place(u, v, rc, arc.cost, e, rc > 0);
             place(v, u, 0, -arc.cost, e + 1, false);
         }
         let mut e = (2 * arcs.len()) as u32;
         for (v, &ex) in excess.iter().enumerate().take(n) {
-            max_cap = max_cap.max(ex.abs());
             if ex > 0 {
                 place(super_s, v, ex, 0, e, true);
                 place(v, super_s, 0, 0, e + 1, false);
@@ -393,7 +363,6 @@ impl Residual {
             e += 2;
         }
         edge_of_arc.extend((0..arcs.len() as u32).map(|i| 2 * i));
-        self.max_build_cap = max_cap;
         self.journal.clear();
         self.built = Some(BuiltMeta {
             stamp,
@@ -410,7 +379,6 @@ impl Residual {
     pub fn reset(&mut self, node_count: usize) {
         self.nodes = node_count;
         self.monotone = false;
-        self.max_build_cap = 0;
         self.built = None;
         self.journal.clear();
         self.edges.clear();
@@ -449,13 +417,6 @@ impl Residual {
         let m = self.edges.len();
         self.built = None;
         self.journal.clear();
-        self.max_build_cap = self
-            .edges
-            .iter()
-            .map(|e| e.initial_cap)
-            .max()
-            .unwrap_or(0)
-            .max(0);
         self.first_out.clear();
         self.first_out.resize(n + 1, 0);
         // The tail of edge `e` is the head of its partner `e ^ 1`.
@@ -510,16 +471,6 @@ impl Residual {
 
     fn is_finalized(&self) -> bool {
         !self.first_out.is_empty()
-    }
-
-    /// Slot range of node `u`'s outgoing edges (active or not). Forward
-    /// scans only ever need [`Residual::active_slots`]; the full range
-    /// serves *backward* traversals (a dormant forward slot's partner can
-    /// still carry residual capacity) and white-box tests of the layout.
-    #[inline]
-    pub fn all_slots(&self, u: usize) -> std::ops::Range<usize> {
-        debug_assert!(self.is_finalized(), "all_slots() before finalize");
-        self.first_out[u] as usize..self.first_out[u + 1] as usize
     }
 
     /// Slot range of node `u`'s **active** outgoing edges — the only ones
@@ -611,9 +562,6 @@ impl Residual {
         if self.built.is_some() {
             self.record(JournalOp::Push { e, amount });
         }
-        if self.log_pushes {
-            self.edge_log.push(e);
-        }
         self.slots[self.slot_of[e as usize] as usize].cap -= amount;
         let back = e ^ 1;
         let back_slot = self.slot_of[back as usize] as usize;
@@ -647,26 +595,10 @@ impl Residual {
         }
     }
 
-    /// Mid-solve rewind to the pristine build: undoes the journal in place,
-    /// leaving the journal armed for the rest of the solve. Returns `false`
-    /// (flow untouched) when no journal is active — the caller keeps working
-    /// with the current flow. Used by the cost-scaling backend to discard
-    /// its cost-blind feasibility max-flow before the scaling phases.
-    pub(crate) fn rollback(&mut self) -> bool {
-        match self.built {
-            Some(b) => {
-                self.undo_journal();
-                self.monotone = b.monotone;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Appends `op` to the rollback journal, abandoning the cache if a
-    /// push-heavy solve (cost scaling can revisit edges many times) would
-    /// grow the journal past a small multiple of the slot count — at that
-    /// point a rebuild is cheaper than the replay and the bookkeeping.
+    /// push-heavy solve would grow the journal past a small multiple of the
+    /// slot count — at that point a rebuild is cheaper than the replay and
+    /// the bookkeeping.
     #[inline]
     fn record(&mut self, op: JournalOp) {
         let cap = 8 * self.slots.len() + 64;
@@ -796,7 +728,8 @@ mod tests {
         let f = r.add_edge(1, 2, 2, 9);
         r.finalize();
         for u in 0..3 {
-            for (slot, eid) in r.all_slots(u).zip(r.out(u)) {
+            for (slot, eid) in (r.first_out[u] as usize..r.first_out[u + 1] as usize).zip(r.out(u))
+            {
                 let edge = r.edges[eid as usize];
                 assert_eq!(r.slots[slot].cap, edge.initial_cap);
                 assert_eq!(r.slots[slot].cost, edge.cost);

@@ -91,7 +91,6 @@ pub struct ResilientSolver {
     budget: SolveBudget,
     incidents: Vec<SolverIncident>,
     solve_index: u64,
-    region_hints: Option<Vec<u32>>,
 }
 
 impl Default for ResilientSolver {
@@ -124,17 +123,7 @@ impl ResilientSolver {
             budget: SolveBudget::default(),
             incidents: Vec::new(),
             solve_index: 0,
-            region_hints: None,
         }
-    }
-
-    /// Installs caller-provided region-boundary hints (sorted node ids at
-    /// which the parallel solver prefers to cut the node range into
-    /// regions, e.g. the first node of each program segment). Forwarded to
-    /// the workspace before every solve; `None` clears them. Non-parallel
-    /// backends ignore the hints entirely.
-    pub fn set_region_hints(&mut self, hints: Option<Vec<u32>>) {
-        self.region_hints = hints;
     }
 
     /// Installs a [`SolveBudget`] applied to **each** attempt (every link
@@ -236,8 +225,6 @@ impl ResilientSolver {
         #[cfg(feature = "fault-inject")]
         crate::fault::FaultPlan::ensure_env_plan();
 
-        ws.set_region_hints(self.region_hints.clone());
-
         let solve_index = self.solve_index;
         self.solve_index += 1;
         let budget = self.budget;
@@ -258,7 +245,7 @@ impl ResilientSolver {
                 }
                 _ => {
                     let backend = chain_backends[attempt - usize::from(primary.is_some())];
-                    let name = backend.select(net).name();
+                    let name = backend.name();
                     let outcome = Self::attempt(solve_index, attempt, name, ws, |ws| {
                         let previous = ws.set_budget(budget);
                         let result = backend.solve_with(net, s, t, target, ws);
@@ -417,8 +404,8 @@ mod tests {
 
     #[test]
     fn negative_cycle_falls_through_to_capable_backend() {
-        // SSP refuses negative cycles; the chain recovers with cycle
-        // cancelling and logs exactly one incident.
+        // SSP refuses negative cycles; the chain recovers with the network
+        // simplex and logs exactly one incident.
         let mut net = FlowNetwork::new();
         let s = net.add_node();
         let a = net.add_node();
@@ -428,13 +415,15 @@ mod tests {
         net.add_arc(a, b, 1, -5).unwrap();
         net.add_arc(b, a, 1, -5).unwrap();
         net.add_arc(a, t, 1, 0).unwrap();
-        let mut solver = ResilientSolver::with_chain(vec![Backend::Ssp, Backend::CycleCancel]);
+        let mut solver = ResilientSolver::with_chain(vec![Backend::Ssp, Backend::Simplex]);
         let sol = solver.solve(&net, s, t, 1).unwrap();
         assert_eq!(sol.value, 1);
+        // One unit s->a->t (0) plus the saturated cycle a->b->a (-10).
+        assert_eq!(sol.cost, -10);
         assert_eq!(solver.incident_count(), 1);
         let incident = &solver.incidents()[0];
         assert_eq!(incident.backend, "ssp");
-        assert_eq!(incident.recovered_with.as_deref(), Some("cycle"));
+        assert_eq!(incident.recovered_with.as_deref(), Some("simplex"));
         assert!(incident.error.contains("negative-cost cycle"));
         assert_eq!(incident.solve_index, 0);
     }
@@ -456,8 +445,8 @@ mod tests {
     #[test]
     fn exhausted_chain_returns_last_error_and_logs_all_attempts() {
         let (net, s, t) = diamond();
-        let mut solver = ResilientSolver::with_chain(vec![Backend::Ssp, Backend::Scaling]);
-        // A zero-round budget starves both SSP-family links.
+        let mut solver = ResilientSolver::with_chain(vec![Backend::Ssp, Backend::Ssp]);
+        // A zero-round budget starves both SSP links.
         solver.set_budget(SolveBudget::default().with_max_rounds(0));
         let err = solver.solve(&net, s, t, 2).unwrap_err();
         assert!(matches!(err, NetflowError::BudgetExceeded { .. }));
@@ -489,43 +478,19 @@ mod tests {
     }
 
     #[test]
-    fn budget_starved_cost_scaling_recovers_via_pivot_backend() {
-        // Cost scaling counts ε-phases against the rounds budget; simplex
+    fn budget_starved_ssp_recovers_via_pivot_backend() {
+        // SSP counts Dijkstra rounds against the rounds budget; simplex
         // budgets pivots instead, so it completes under the same budget
         // object and absorbs the starved primary.
         let (net, s, t) = diamond();
-        let mut solver = ResilientSolver::with_chain(vec![Backend::CostScaling, Backend::Simplex]);
+        let mut solver = ResilientSolver::with_chain(vec![Backend::Ssp, Backend::Simplex]);
         solver.set_budget(SolveBudget::default().with_max_rounds(0));
         let sol = solver.solve(&net, s, t, 2).unwrap();
         assert_eq!(sol.cost, 8);
         assert_eq!(solver.incident_count(), 1);
         let incident = &solver.incidents()[0];
-        assert_eq!(incident.backend, "cost_scaling");
-        assert_eq!(incident.recovered_with.as_deref(), Some("simplex"));
-    }
-
-    #[test]
-    fn negative_cycle_recovers_via_cost_scaling_link() {
-        // SSP refuses negative cycles; cost scaling handles them natively,
-        // so a chain ending in it recovers just like the cycle-cancelling
-        // chain does.
-        let mut net = FlowNetwork::new();
-        let s = net.add_node();
-        let a = net.add_node();
-        let b = net.add_node();
-        let t = net.add_node();
-        net.add_arc(s, a, 1, 0).unwrap();
-        net.add_arc(a, b, 1, -5).unwrap();
-        net.add_arc(b, a, 1, -5).unwrap();
-        net.add_arc(a, t, 1, 0).unwrap();
-        let mut solver = ResilientSolver::with_chain(vec![Backend::Ssp, Backend::CostScaling]);
-        let sol = solver.solve(&net, s, t, 1).unwrap();
-        assert_eq!(sol.value, 1);
-        assert_eq!(solver.incident_count(), 1);
-        let incident = &solver.incidents()[0];
         assert_eq!(incident.backend, "ssp");
-        assert_eq!(incident.recovered_with.as_deref(), Some("cost_scaling"));
-        assert!(incident.error.contains("negative-cost cycle"));
+        assert_eq!(incident.recovered_with.as_deref(), Some("simplex"));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * **Block-search entering rule.** Instead of rescanning every arc from
 //!   index 0 per pivot (the previous Bland rule), a circular cursor resumes
 //!   where the last pivot stopped and examines arcs in blocks of
-//!   `B` (`LemraConfig::simplex_block`, default `max(⌈√m⌉, 10)`), taking
+//!   `B = max(⌈√m⌉, 10)` arcs, taking
 //!   the most violating arc of the first block that contains one. Pivot
 //!   selection cost drops from Θ(m) to amortised O(B) while keeping most of
 //!   Dantzig's pivot quality.
@@ -27,12 +27,11 @@
 //!   without per-node depth bookkeeping.
 //!
 //! The production solver remains [`min_cost_flow`](crate::min_cost_flow);
-//! simplex is the cross-check backend that is exact on negative-cost
-//! *cycles* and, with the rules above, fast enough to run routinely at
-//! 512+ variables.
+//! simplex is the independent reference backend that is exact on
+//! negative-cost *cycles* and, with the rules above, fast enough to run
+//! routinely at 512+ variables.
 
 use crate::budget::SolveBudget;
-use crate::config::LemraConfig;
 use crate::graph::{FlowNetwork, NodeId};
 use crate::ssp::check_endpoints;
 use crate::{FlowSolution, NetflowError};
@@ -51,12 +50,7 @@ const AT_UPPER: u8 = 2;
 ///
 /// Unlike [`min_cost_flow`](crate::min_cost_flow), negative-cost *cycles*
 /// are handled correctly (the optimal basis saturates them), so this solver
-/// doubles as a second reference for cyclic networks alongside
-/// [`min_cost_flow_cycle_canceling`](crate::min_cost_flow_cycle_canceling).
-///
-/// The entering-arc block size comes from
-/// [`LemraConfig::simplex_block`](crate::LemraConfig) (`LEMRA_SIMPLEX_BLOCK`);
-/// use [`min_cost_flow_network_simplex_with_block`] to pin it explicitly.
+/// is the reference for cyclic networks.
 ///
 /// # Errors
 ///
@@ -91,19 +85,14 @@ pub fn min_cost_flow_network_simplex(
     t: NodeId,
     target: i64,
 ) -> Result<FlowSolution, NetflowError> {
-    let block = LemraConfig::get().simplex_block.unwrap_or(0);
-    min_cost_flow_network_simplex_with_block(net, s, t, target, block)
+    min_cost_flow_network_simplex_with_block(net, s, t, target, 0)
 }
 
 /// [`min_cost_flow_network_simplex`] with an explicit entering-arc block
 /// size (`0` picks the default `max(⌈√m⌉, 10)`). Block size `1` degenerates
 /// to a first-eligible-from-cursor rule — the setting the pivot-sequence
 /// regression tests use.
-///
-/// # Errors
-///
-/// Same as [`min_cost_flow_network_simplex`].
-pub fn min_cost_flow_network_simplex_with_block(
+pub(crate) fn min_cost_flow_network_simplex_with_block(
     net: &FlowNetwork,
     s: NodeId,
     t: NodeId,
@@ -521,7 +510,7 @@ pub(crate) fn min_cost_flow_network_simplex_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{min_cost_flow, min_cost_flow_cycle_canceling, validate};
+    use crate::{min_cost_flow, validate};
     use proptest::prelude::*;
 
     #[test]
@@ -546,7 +535,7 @@ mod tests {
 
     #[test]
     fn saturates_negative_cycles() {
-        // Same cyclic instance the cycle-cancelling tests use.
+        // Same cyclic instance SSP refuses with `NegativeCycle`.
         let mut net = FlowNetwork::new();
         let s = net.add_node();
         let a = net.add_node();
@@ -557,10 +546,13 @@ mod tests {
         net.add_arc(b, a, 2, 1).unwrap();
         net.add_arc(b, t, 1, 0).unwrap();
         let nsx = min_cost_flow_network_simplex(&net, s, t, 1).unwrap();
-        let cc = min_cost_flow_cycle_canceling(&net, s, t, 1).unwrap();
         validate(&net, s, t, &nsx).unwrap();
-        assert_eq!(nsx.cost, cc.cost);
+        // One unit s->a->b->t (-3) plus one residual cycle a->b->a (-2).
         assert_eq!(nsx.cost, -5);
+        assert_eq!(
+            min_cost_flow(&net, s, t, 1).unwrap_err(),
+            NetflowError::NegativeCycle
+        );
     }
 
     #[test]
@@ -679,8 +671,9 @@ mod tests {
         // An adequate budget solves the same instance.
         let budget = SolveBudget::default().with_max_pivots(10_000);
         let sol = min_cost_flow_network_simplex_budgeted(&net, s, t, 3, 1, budget).unwrap();
-        let cc = min_cost_flow_cycle_canceling(&net, s, t, 3).unwrap();
-        assert_eq!(sol.cost, cc.cost);
+        validate(&net, s, t, &sol).unwrap();
+        let blocked = min_cost_flow_network_simplex(&net, s, t, 3).unwrap();
+        assert_eq!(sol.cost, blocked.cost);
     }
 
     proptest! {

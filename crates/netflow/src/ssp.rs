@@ -38,8 +38,7 @@ use crate::{FlowSolution, NetflowError};
 /// * [`NetflowError::Infeasible`] if no feasible flow of value `target`
 ///   satisfying all lower bounds exists.
 /// * [`NetflowError::NegativeCycle`] if a negative-cost cycle reachable from
-///   the source is detected; use
-///   [`min_cost_flow_cycle_canceling`](crate::min_cost_flow_cycle_canceling)
+///   the source is detected; use [`Backend::Simplex`](crate::Backend::Simplex)
 ///   for such networks.
 /// * [`NetflowError::InvalidArc`] / [`NetflowError::Overflow`] if
 ///   [`FlowNetwork::validate_input`] rejects the instance (bad endpoints,
@@ -120,7 +119,7 @@ pub(crate) struct Transformed {
     pub required: i64,
 }
 
-/// Excess/deficit transformation shared by the SSP-family solvers: every
+/// Excess/deficit transformation shared by SSP and the reoptimizer: every
 /// lower bound `l` on arc `(u, v)` pre-routes `l` units, leaving `v` with
 /// excess `+l` and `u` with deficit `-l`. The requirement "exactly `target`
 /// units from `s` to `t`" is a virtual arc `t -> s` with lower bound =
@@ -231,21 +230,6 @@ pub(crate) fn ssp_run(
     target: i64,
     ws: &mut SolverWorkspace,
 ) -> Result<i64, NetflowError> {
-    ssp_phases(res, s, t, target, ws, "ssp")
-}
-
-/// [`ssp_run`] with an explicit backend label for budget incidents — the
-/// capacity-scaling solver delegates small-Δ instances here (Δ-scaling
-/// degenerates into plain SSP plus pseudo-flow churn when every capacity is
-/// tiny) and its budget errors must still report backend `"scaling"`.
-pub(crate) fn ssp_phases(
-    res: &mut Residual,
-    s: usize,
-    t: usize,
-    target: i64,
-    ws: &mut SolverWorkspace,
-    backend: &'static str,
-) -> Result<i64, NetflowError> {
     ws.prepare(res.node_count());
     initial_potentials(res, s, ws)?;
     let budget = ws.budget;
@@ -258,12 +242,12 @@ pub(crate) fn ssp_phases(
     // finishes the whole solve. It still counts against the round budget, so
     // a zero-round budget trips before any flow moves.
     if flow < target && ws.node[t].potential < INF {
-        budget.check_rounds(backend, "augment", rounds)?;
+        budget.check_rounds("ssp", "augment", rounds)?;
         rounds += 1;
         flow += crate::dinic::blocking_flow_admissible(res, s, t, ws, target - flow);
     }
     while flow < target {
-        budget.check_rounds(backend, "augment", rounds)?;
+        budget.check_rounds("ssp", "augment", rounds)?;
         rounds += 1;
         let dist_t = dijkstra_settle(res, s, t, ws)?;
         if dist_t >= INF {
@@ -289,43 +273,12 @@ pub(crate) fn initial_potentials(
     s: usize,
     ws: &mut SolverWorkspace,
 ) -> Result<(), NetflowError> {
-    potentials_from(res, Some(s), ws)
-}
-
-/// Computes a *valid* potential function over positive-capacity residual
-/// edges: every arc satisfies `cost + π(u) − π(v) ≥ 0`, with every node
-/// finite. Equivalent to shortest paths from a virtual source wired to all
-/// nodes at cost 0, so unlike [`initial_potentials`] it never leaves
-/// unreachable nodes at `INF` — the form the cost-scaling warm start needs,
-/// where reachability from the super-source is irrelevant but validity must
-/// hold on every arc.
-pub(crate) fn valid_potentials(
-    res: &Residual,
-    ws: &mut SolverWorkspace,
-) -> Result<(), NetflowError> {
-    potentials_from(res, None, ws)
-}
-
-/// Shared body: `Some(s)` seeds single-source distances, `None` seeds every
-/// node at 0 (multi-source).
-fn potentials_from(
-    res: &Residual,
-    source: Option<usize>,
-    ws: &mut SolverWorkspace,
-) -> Result<(), NetflowError> {
     let n = res.node_count();
-    let seed = |ws: &mut SolverWorkspace| match source {
-        Some(s) => {
-            for st in &mut ws.node[..n] {
-                st.potential = INF;
-            }
-            ws.node[s].potential = 0;
+    let seed = |ws: &mut SolverWorkspace| {
+        for st in &mut ws.node[..n] {
+            st.potential = INF;
         }
-        None => {
-            for st in &mut ws.node[..n] {
-                st.potential = 0;
-            }
-        }
+        ws.node[s].potential = 0;
     };
 
     if res.monotone {

@@ -19,81 +19,8 @@ use crate::radix::RadixHeap;
 use crate::residual::Residual;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::AtomicI64;
-use std::sync::Mutex;
 
 pub(crate) const INF: i64 = i64::MAX / 4;
-
-/// Per-region scratch owned exclusively by one settle worker: its frontier
-/// heap and the seed buffer its cross-region inbox is drained into at the
-/// start of each wave. Regions borrow these disjointly (one `&mut` each out
-/// of [`ParScratch::arenas`]) while the shared read-only state — potentials,
-/// kept adjacency, atomic distances — is borrowed once for everyone.
-#[derive(Debug, Default)]
-pub(crate) struct RegionArena {
-    /// The region's private Dijkstra frontier; reset per wave.
-    pub heap: RadixHeap,
-    /// Nodes handed to this region since its last wave (drained inbox).
-    pub seeds: Vec<u32>,
-}
-
-/// Split-borrowable scratch for the decomposed parallel solve path
-/// (`netflow::decompose`). Lives on the [`SolverWorkspace`] so buffers are
-/// reused across solves like every other arena; a plain `Default` when the
-/// parallel path never runs.
-///
-/// The layout is "flat CSR + per-region index ranges": `bounds` partitions
-/// `0..n` into contiguous regions, `region_of` inverts it, and `arenas[r]`
-/// holds region `r`'s exclusively-owned state so a scoped worker borrows one
-/// `&mut RegionArena` plus shared `&` views of everything else.
-#[derive(Debug, Default)]
-pub(crate) struct ParScratch {
-    /// Shared tentative distances, CAS-min updated by all regions.
-    pub dist: Vec<AtomicI64>,
-    /// Potential scratch for the join-time price repair.
-    pub potential: Vec<i64>,
-    /// Region owning each node (index into `arenas`).
-    pub region_of: Vec<u32>,
-    /// Region end offsets: region `r` owns nodes `bounds[r]..bounds[r + 1]`.
-    pub bounds: Vec<u32>,
-    /// Working-set membership per edge id.
-    pub keep: Vec<bool>,
-    /// CSR row starts of the kept adjacency (edge ids per tail).
-    pub kept_start: Vec<u32>,
-    /// CSR payload of the kept adjacency: stable edge ids.
-    pub kept_edges: Vec<u32>,
-    /// Head node per kept-CSR entry — a sequential-scan copy, so the settle
-    /// and blocking-flow hot loops never chase `slot_of` indirections.
-    pub kept_to: Vec<u32>,
-    /// Cost per kept-CSR entry (immutable over a solve, copied once).
-    pub kept_cost: Vec<i64>,
-    /// Live capacity per kept-CSR entry, patched from the residual's push
-    /// log between rounds and updated in place by the kept blocking flow.
-    pub kept_cap: Vec<i64>,
-    /// Edge id → kept-CSR position (`u32::MAX`: not kept).
-    pub kept_pos: Vec<u32>,
-    /// Blocking-flow DFS node states ([`BF_FRESH`]-family constants).
-    pub level: Vec<i32>,
-    /// Blocking-flow DFS arc cursors (kept-CSR positions).
-    pub iter: Vec<u32>,
-    /// Blocking-flow DFS path: kept-CSR positions of the in-arcs taken.
-    pub path: Vec<u32>,
-    /// Blocking-flow DFS node trail, sink-anchored.
-    pub chain: Vec<u32>,
-    /// Ranking scratch of the working-set builder: `(reduced cost, edge)`.
-    pub rank: Vec<(i64, u32)>,
-    /// Counting-sort row starts for the in-arc (head-side) ranking pass.
-    pub in_start: Vec<u32>,
-    /// Counting-sort cursors for the in-arc ranking pass.
-    pub in_cursor: Vec<u32>,
-    /// Counting-sort payload for the in-arc ranking pass.
-    pub in_items: Vec<(i64, u32)>,
-    /// Per-region exclusively-owned worker state.
-    pub arenas: Vec<RegionArena>,
-    /// Cross-region handoff queues: a relaxation that improves a node owned
-    /// by another region pushes it here instead of into a foreign heap.
-    pub inboxes: Vec<Mutex<Vec<u32>>>,
-}
 
 /// Hot per-node solver state: the potential, the epoch-stamped tentative
 /// distance and the blocking-flow BFS level, packed into one 24-byte record.
@@ -118,7 +45,7 @@ pub(crate) struct NodeState {
 thread_local! {
     /// Default workspace for the plain solver entry points, one per thread,
     /// so repeated solves in a sweep reuse buffers without any API change.
-    /// Shared by every SSP-family solver on the thread.
+    /// Shared by every plain solver entry point on the thread.
     static SHARED_WORKSPACE: RefCell<SolverWorkspace> = RefCell::new(SolverWorkspace::new());
 }
 
@@ -172,8 +99,7 @@ impl std::ops::Add for SolverStats {
     }
 }
 
-/// Reusable scratch buffers for [`min_cost_flow`](crate::min_cost_flow) and
-/// [`min_cost_flow_scaling`](crate::min_cost_flow_scaling).
+/// Reusable scratch buffers for [`min_cost_flow`](crate::min_cost_flow).
 ///
 /// Create one per thread and pass it to
 /// [`min_cost_flow_with`](crate::min_cost_flow_with) to amortise allocations
@@ -221,21 +147,9 @@ pub struct SolverWorkspace {
     pub(crate) indegree: Vec<u32>,
     /// Topological order buffer.
     pub(crate) order: Vec<u32>,
-    /// Distance labels of the cost-scaling set-relabel sweep.
-    pub(crate) level: Vec<u32>,
     /// Per-node cursor into the active slot range: the current-arc pointer
-    /// of blocking-flow DFS and push-relabel discharge.
+    /// of the blocking-flow DFS.
     pub(crate) cursor: Vec<u32>,
-    /// Signed node imbalances for the scaling solvers. Wide: saturating
-    /// admissible arcs can pile several near-`i64::MAX` capacities onto one
-    /// node before a discharge rebalances it.
-    pub(crate) excess: Vec<i128>,
-    /// Cost-scaling node prices. Wide: costs are scaled by `n + 1` and
-    /// prices drop by `O(n · epsilon)` per refine phase, which outgrows
-    /// `i64` on inputs that `validate_input` admits.
-    pub(crate) price: Vec<i128>,
-    /// Wide scratch labels for the cost-scaling price-refinement SPFA.
-    pub(crate) dist_scratch: Vec<i128>,
     /// Residual-graph arena: the workspace-backed solvers rebuild the
     /// per-solve residual topology in these buffers (via `mem::take` /
     /// restore around the solve) instead of allocating a fresh graph — the
@@ -255,14 +169,6 @@ pub struct SolverWorkspace {
     /// invalidates it; only passing scans are cached (errors are terminal
     /// and re-deriving their message is fine). Survives [`Self::prepare`].
     pub(crate) validate_cache: Option<(CacheStamp, i64)>,
-    /// Scratch of the decomposed parallel solve path; empty until the first
-    /// parallel solve on this workspace.
-    pub(crate) par: ParScratch,
-    /// Build-stage region boundary hints (ascending node indices at which a
-    /// partition cut is structurally cheap, e.g. variable starts in the
-    /// allocation network). Consulted by the parallel path's partitioner;
-    /// `None` falls back to uniform cuts. Survives [`Self::prepare`].
-    pub(crate) region_hints: Option<Vec<u32>>,
 }
 
 impl SolverWorkspace {
@@ -298,11 +204,8 @@ impl SolverWorkspace {
         self.indegree.clear();
         self.indegree.resize(n, 0);
         self.order.clear();
-        // `level`, `cursor`, `excess`, `price` and `dist_scratch` are
-        // deliberately *not* sized here: only the blocking-flow and scaling
-        // solvers use them, and they reset exactly the prefix they need per
-        // phase. Touching three i128 and two u32 arrays on every solve
-        // would tax the common SSP path for nothing.
+        // `cursor` is deliberately *not* sized here: the blocking-flow
+        // phases reset exactly the prefix they need.
     }
 
     /// Takes the residual arena out of the workspace for a solve (leaving an
@@ -331,13 +234,6 @@ impl SolverWorkspace {
             ws: self,
             res: Some(res),
         }
-    }
-
-    /// Installs build-stage region boundary hints for the decomposed
-    /// parallel solve path: ascending node indices where a partition cut is
-    /// structurally cheap (few crossing arcs). `None` clears them.
-    pub fn set_region_hints(&mut self, hints: Option<Vec<u32>>) {
-        self.region_hints = hints;
     }
 
     /// Cumulative effort counters (never reset by [`Self::prepare`]; diff

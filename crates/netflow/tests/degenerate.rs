@@ -8,8 +8,8 @@
 use lemra_netflow::{Backend, FlowNetwork, NetflowError, NodeId, ResilientSolver};
 use proptest::prelude::*;
 
-/// Every entry point under test: the five concrete backends, the `Auto`
-/// policy and the resilient fallback chain.
+/// Every entry point under test: both backends and the resilient fallback
+/// chain (SSP, then the simplex for what SSP refuses).
 fn solve_everywhere(
     net: &FlowNetwork,
     s: NodeId,
@@ -21,10 +21,9 @@ fn solve_everywhere(
 )> {
     let mut results: Vec<(&'static str, _)> = Backend::ALL
         .iter()
-        .chain([Backend::Auto].iter())
         .map(|b| (b.name(), b.solve(net, s, t, target)))
         .collect();
-    let mut resilient = ResilientSolver::new(Backend::Auto);
+    let mut resilient = ResilientSolver::with_chain(vec![Backend::Ssp, Backend::Simplex]);
     results.push(("resilient", resilient.solve(net, s, t, target)));
     results
 }

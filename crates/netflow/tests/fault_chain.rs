@@ -1,9 +1,9 @@
-//! Fault-injection regression tests for the cost-scaling backend's place
-//! in a resilient fallback chain (`fault-inject` feature): a fault planted
-//! in the `cost_scaling` attempt must be absorbed by the chain without
-//! changing a byte of the solution, recording exactly one incident — and
-//! `cost_scaling` must itself serve as the recovery link when an earlier
-//! backend is the one faulted.
+//! Fault-injection regression tests for the network simplex's place in a
+//! resilient fallback chain (`fault-inject` feature): a fault planted in the
+//! `simplex` attempt must be absorbed by the chain without changing a byte
+//! of the solution, recording exactly one incident — and `simplex` must
+//! itself serve as the recovery link when the SSP attempt is the one
+//! faulted.
 //!
 //! The fault plan is process-global; this file is its own test binary (so
 //! its own process), and all scenarios run inside one `#[test]` to keep
@@ -30,17 +30,17 @@ fn tie_broken_diamond() -> (FlowNetwork, NodeId, NodeId) {
 }
 
 #[test]
-fn cost_scaling_chain_absorbs_and_recovers_injected_faults() {
+fn simplex_chain_absorbs_and_recovers_injected_faults() {
     let (net, s, t) = tie_broken_diamond();
-    let reference = Backend::CostScaling.solve(&net, s, t, 1).unwrap();
+    let reference = Backend::Simplex.solve(&net, s, t, 1).unwrap();
 
-    // Every fault kind planted in the cost_scaling attempt: the SSP anchor
+    // Every fault kind planted in the simplex attempt: the SSP anchor
     // absorbs it and reproduces the identical (unique-optimum) flow.
     for kind in [FaultKind::Panic, FaultKind::Budget, FaultKind::Overflow] {
         FaultPlan::new()
-            .fail_backend_at(kind, 0, "cost_scaling")
+            .fail_backend_at(kind, 0, "simplex")
             .install();
-        let mut solver = ResilientSolver::new(Backend::CostScaling);
+        let mut solver = ResilientSolver::new(Backend::Simplex);
         let sol = solver
             .solve(&net, s, t, 1)
             .expect("anchor must absorb the injected fault");
@@ -52,25 +52,25 @@ fn cost_scaling_chain_absorbs_and_recovers_injected_faults() {
         );
         assert_eq!(solver.incident_count(), 1, "{kind:?}");
         let incident = &solver.incidents()[0];
-        assert_eq!(incident.backend, "cost_scaling", "{kind:?}");
+        assert_eq!(incident.backend, "simplex", "{kind:?}");
         assert_eq!(incident.recovered_with.as_deref(), Some("ssp"), "{kind:?}");
     }
 
     // The qualified fault fires once: a second solve on the same chain
     // runs clean and records nothing new.
     FaultPlan::new()
-        .fail_backend_at(FaultKind::Panic, 0, "cost_scaling")
+        .fail_backend_at(FaultKind::Panic, 0, "simplex")
         .install();
-    let mut solver = ResilientSolver::new(Backend::CostScaling);
+    let mut solver = ResilientSolver::new(Backend::Simplex);
     solver.solve(&net, s, t, 1).expect("first solve recovers");
     let second = solver.solve(&net, s, t, 1).expect("second solve is clean");
     FaultPlan::clear();
     assert_eq!(second.flows, reference.flows);
     assert_eq!(solver.incident_count(), 1);
 
-    // cost_scaling as the recovery link: panic the cycle-cancelling
-    // primary on a negative-cycle network (where the SSP anchor refuses)
-    // and let cost scaling complete the solve.
+    // simplex as the recovery link: panic the SSP primary on a
+    // negative-cycle network (which SSP would refuse anyway) and let the
+    // simplex complete the solve.
     let mut cyclic = FlowNetwork::new();
     let cs = cyclic.add_node();
     let ca = cyclic.add_node();
@@ -80,27 +80,27 @@ fn cost_scaling_chain_absorbs_and_recovers_injected_faults() {
     cyclic.add_arc(ca, cb, 1, -5).unwrap();
     cyclic.add_arc(cb, ca, 1, -5).unwrap();
     cyclic.add_arc(ca, ct, 1, 0).unwrap();
-    let clean = Backend::CycleCancel.solve(&cyclic, cs, ct, 1).unwrap();
     FaultPlan::new()
-        .fail_backend_at(FaultKind::Panic, 0, "cycle")
+        .fail_backend_at(FaultKind::Panic, 0, "ssp")
         .install();
-    let mut solver = ResilientSolver::with_chain(vec![Backend::CycleCancel, Backend::CostScaling]);
+    let mut solver = ResilientSolver::with_chain(vec![Backend::Ssp, Backend::Simplex]);
     let sol = solver
         .solve(&cyclic, cs, ct, 1)
-        .expect("cost_scaling must complete the negative-cycle solve");
+        .expect("simplex must complete the negative-cycle solve");
     FaultPlan::clear();
-    assert_eq!(sol.cost, clean.cost);
+    // One unit s->a->t (0) plus the saturated cycle a->b->a (-10).
+    assert_eq!(sol.cost, -10);
     assert_eq!(sol.value, 1);
     assert_eq!(solver.incident_count(), 1);
     let incident = &solver.incidents()[0];
-    assert_eq!(incident.backend, "cycle");
-    assert_eq!(incident.recovered_with.as_deref(), Some("cost_scaling"));
+    assert_eq!(incident.backend, "ssp");
+    assert_eq!(incident.recovered_with.as_deref(), Some("simplex"));
     assert!(incident.error.contains("panicked") || incident.error.contains("injected"));
 
-    // LEMRA_FAULT-style spec parsing covers the new backend name.
-    let plan: FaultPlan = "budget@3:cost_scaling".parse().expect("valid spec");
+    // LEMRA_FAULT-style spec parsing covers the backend name.
+    let plan: FaultPlan = "budget@3:simplex".parse().expect("valid spec");
     plan.install();
-    let mut solver = ResilientSolver::new(Backend::CostScaling);
+    let mut solver = ResilientSolver::new(Backend::Simplex);
     let mut ws = SolverWorkspace::new();
     for i in 0..5 {
         let sol = solver
@@ -114,5 +114,5 @@ fn cost_scaling_chain_absorbs_and_recovers_injected_faults() {
     FaultPlan::clear();
     assert_eq!(solver.incident_count(), 1);
     assert_eq!(solver.incidents()[0].solve_index, 3);
-    assert_eq!(solver.incidents()[0].backend, "cost_scaling");
+    assert_eq!(solver.incidents()[0].backend, "simplex");
 }

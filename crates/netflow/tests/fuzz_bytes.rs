@@ -61,7 +61,7 @@ fn run_case(data: &[u8]) {
     let Some((net, s, t, target)) = decode(data) else {
         return;
     };
-    let mut solver = ResilientSolver::new(Backend::Auto);
+    let mut solver = ResilientSolver::with_chain(vec![Backend::Ssp, Backend::Simplex]);
     match solver.solve(&net, s, t, target) {
         Ok(sol) => assert_eq!(sol.value, target),
         Err(

@@ -8,9 +8,9 @@
 //! ```
 //!
 //! With `-` as the file, the spec is read from standard input. `--backend`
-//! selects the min-cost-flow solver (`ssp`, `scaling`, `cycle`, `simplex`,
-//! `auto`; also settable via `LEMRA_BACKEND`); `--timings` prints per-stage
-//! pipeline timings to stderr.
+//! selects the min-cost-flow solver (`ssp` or `simplex`; also settable via
+//! `LEMRA_BACKEND`); `--timings` prints per-stage pipeline timings to
+//! stderr.
 
 use lemra::core::{
     allocate, render_allocation, storage_plan, AllocationProblem, AllocationReport, GraphStyle,
@@ -23,7 +23,7 @@ use std::io::Read;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: lemra <file.lt | -> [--registers N] [--period C] \
-[--all-pairs] [--activity-model] [--backend ssp|scaling|cycle|simplex|auto] \
+[--all-pairs] [--activity-model] [--backend ssp|simplex] \
 [--timings] [--codegen] [--simulate]";
 
 fn main() -> ExitCode {
