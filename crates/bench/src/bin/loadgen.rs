@@ -17,7 +17,7 @@
 //!   plans like `panic@solve:req7` key on stable ids), retrying sheds and
 //!   torn connections with backoff.
 //! - `dup`: every request is the same spec; proves byte-identical
-//!   duplicate responses (the CI cache-replay check).
+//!   duplicate responses.
 //! - `program`: replays a `lemra-workloads` whole-program tier over the
 //!   socket and byte-compares the digest against offline
 //!   [`allocate_program_threads`].

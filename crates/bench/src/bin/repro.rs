@@ -118,10 +118,9 @@ fn main() {
 /// Stage timings and solver counters of everything the run solved, on
 /// stderr so `--json` consumers of stdout are unaffected.
 fn print_timings() {
-    // One shared snapshot (lemra_core::StatsSnapshot) renders this block;
-    // its format is pinned by a regression test because CI greps these
-    // lines.
-    eprint!("{}", lemra_core::StatsSnapshot::collect().render_timings());
+    // `PipelineStats::render_timings` renders this block; a regression test
+    // pins its format.
+    eprint!("{}", lemra_core::pipeline_stats().render_timings());
 }
 
 fn print_rows(rows: &[&Row]) {

@@ -117,8 +117,8 @@ fn main() {
         }
     }
     if timings {
-        // Same shared snapshot as `repro --timings` and the server's admin
-        // endpoint (stdout stays byte-identical; this is stderr).
-        eprint!("{}", lemra_core::StatsSnapshot::collect().render_timings());
+        // Same rendering as `repro --timings` and the server's exit report
+        // (stdout stays byte-identical; this is stderr).
+        eprint!("{}", lemra_core::pipeline_stats().render_timings());
     }
 }

@@ -62,7 +62,6 @@
 
 mod allocator;
 mod build;
-mod cache;
 mod codegen;
 mod costs;
 mod events;
@@ -82,10 +81,9 @@ mod viz;
 
 pub use allocator::{allocate, Allocation, Placement, SweepAllocator};
 pub use build::{build_network, NetworkView};
-pub use cache::{cache_stats, clear_cache, CacheStats};
 pub use codegen::{storage_plan, Operand, StorageInstr, StoragePlan};
 pub use events::{trace_var, MemAccess, VarTrace};
-pub use lemra_netflow::{CacheMode, CACHE_CAP_ENV, CACHE_ENV, COLD_ENV};
+pub use lemra_netflow::COLD_ENV;
 pub use modules::{partition_memory_modules, SleepPartition};
 pub use multiblock::{
     allocate_chain, allocate_chain_threads, allocate_program, allocate_program_threads,
@@ -98,7 +96,6 @@ pub use problem::{AllocationProblem, GraphStyle};
 pub use realloc::{reallocate_memory, MemoryReallocation};
 pub use report::{baseline_energy, AllocationReport};
 pub use segment::{Boundary, Segment, SegmentId, Segmentation, SplitOptions};
-pub use stats::StatsSnapshot;
 pub use synthesis::{synthesize, SynthesisConfig, SynthesisError, SynthesisResult};
 pub use validate::validate;
 pub use viz::{render_allocation, render_lifetimes};

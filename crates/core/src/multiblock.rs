@@ -35,8 +35,7 @@
 //! serial solve); mispredicted blocks are re-solved inline. Each worker
 //! holds one warm [`PipelineCx`] across all its blocks — structurally
 //! identical blocks (loop tiles, unrolled kernels) re-price one retained
-//! network and repair the previous optimum instead of solving cold — and
-//! shares the process-wide allocation cache with every other worker. The
+//! network and repair the previous optimum instead of solving cold. The
 //! result is byte-identical to the serial walk at any worker count.
 
 use crate::allocator::{Allocation, Placement};
@@ -369,7 +368,7 @@ pub fn allocate_program_threads(
 /// [`allocate_program`] composed onto an existing [`PipelineCx`]: the
 /// allocation server runs each request on its worker's forked context so
 /// per-request solve budgets and incident counters apply, and the
-/// context's cache/backend settings carry across requests.
+/// context's backend settings carry across requests.
 ///
 /// # Errors
 ///

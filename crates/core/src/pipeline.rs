@@ -1,9 +1,9 @@
 //! The staged allocation pipeline.
 //!
-//! Every flow-backed computation in this crate is the same seven steps:
+//! Every flow-backed computation in this crate is the same six steps:
 //!
 //! ```text
-//! Segment → Profile → BuildNetwork → Canon → Solve → Bind → Validate
+//! Segment → Profile → BuildNetwork → Solve → Bind → Validate
 //! ```
 //!
 //! lifetimes are segmented (§5.2), the maximum-density regions are profiled
@@ -35,11 +35,10 @@ use crate::CoreError;
 use lemra_energy::RegisterEnergyKind;
 use lemra_ir::{Tick, TickRange, VarId};
 use lemra_netflow::{
-    canonicalize, thread_solver_stats, Backend, CacheMode, CacheStamp, CanonicalInstance,
-    FlowNetwork, FlowSolution, LemraConfig, NetflowError, NodeId, Reoptimizer, ResilientSolver,
-    SolveBudget, SolverIncident, SolverStats,
+    thread_solver_stats, Backend, FlowNetwork, FlowSolution, LemraConfig, NetflowError, NodeId,
+    Reoptimizer, ResilientSolver, SolveBudget, SolverIncident, SolverStats,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// One stage of the allocation pipeline.
@@ -54,9 +53,10 @@ pub enum Stage {
     /// Flow-network construction (§5.1), including re-pricing a retained
     /// network on warm sweep points.
     Build,
-    /// Canonicalization of the built instance (content fingerprints +
-    /// cross-request cache lookups); skipped (zero-cost) when
-    /// [`LemraConfig::cache`] is off.
+    /// Never recorded, so it always reads zero: no pipeline step computes a
+    /// canonical form of the network. It exists only for the benchmark's
+    /// per-layer `program.stage.canon_ms` column, which names every stage;
+    /// drop it together with that column.
     Canon,
     /// The min-cost-flow solve itself.
     Solve,
@@ -253,23 +253,9 @@ pub struct PipelineCx {
     /// terms derate independently (distinct supply voltages), hence the two
     /// energy entries.
     prev_basis: Option<(i64, i64, i64, i64)>,
-    cache: Option<RetainedNetwork>,
+    /// The network [`Self::allocate_warm`] re-prices between sweep points.
+    retained: Option<RetainedNetwork>,
     stats: PipelineStats,
-    /// Cross-request cache mode this context runs under (a snapshot of
-    /// [`LemraConfig::cache`] unless a constructor overrode it).
-    cache_mode: CacheMode,
-    /// Structural class of the retained-network sweep state, set by
-    /// [`Self::allocate_warm`]: the key under which [`Drop`] donates this
-    /// context's reoptimizer back to the process-wide cache.
-    warm_class: Option<lemra_netflow::Fingerprint>,
-    /// Whether `reopt` holds state adopted from the cache that has not yet
-    /// answered a solve (the first post-adoption warm solve is the one
-    /// counted as a cross-request warm hit).
-    adopted_pending: bool,
-    /// Solves this context answered by exact-hit replay (live counter).
-    exact_hits: u64,
-    /// Solves this context answered by adopted warm state (live counter).
-    warm_hits: u64,
 }
 
 impl Default for PipelineCx {
@@ -280,14 +266,6 @@ impl Default for PipelineCx {
 
 impl Drop for PipelineCx {
     fn drop(&mut self) {
-        // Sweep state outlives the context: donate the reoptimizer to its
-        // structural class so the next sweep over the same topology starts
-        // warm. The adopter's own snapshot diff re-verifies compatibility.
-        if self.cache_mode == CacheMode::Warm && !self.force_cold && self.reopt.is_warm() {
-            if let Some(class) = self.warm_class {
-                crate::cache::donate_warm(class, std::mem::take(&mut self.reopt));
-            }
-        }
         if self.timings_on && self.stats != PipelineStats::ZERO {
             GLOBAL_STATS
                 .lock()
@@ -302,36 +280,17 @@ impl PipelineCx {
     /// (backend, cold-sweep override, timings).
     pub fn new() -> Self {
         let cfg = LemraConfig::get();
-        Self::configured(cfg.backend, cfg.cold, cfg.timings, cfg.cache)
+        Self::configured(cfg.backend, cfg.cold, cfg.timings)
     }
 
     /// A context with an explicit backend; everything else from
     /// [`LemraConfig`].
     pub fn with_backend(backend: Backend) -> Self {
         let cfg = LemraConfig::get();
-        Self::configured(backend, cfg.cold, cfg.timings, cfg.cache)
+        Self::configured(backend, cfg.cold, cfg.timings)
     }
 
-    /// A context with an explicit cross-request cache mode; everything else
-    /// from [`LemraConfig`]. Tests use this to exercise the cache without
-    /// mutating the process-wide config snapshot.
-    pub fn with_cache_mode(mode: CacheMode) -> Self {
-        let cfg = LemraConfig::get();
-        Self::configured(cfg.backend, cfg.cold, cfg.timings, mode)
-    }
-
-    /// A context with both an explicit backend and cache mode.
-    pub fn with_backend_cache(backend: Backend, mode: CacheMode) -> Self {
-        let cfg = LemraConfig::get();
-        Self::configured(backend, cfg.cold, cfg.timings, mode)
-    }
-
-    fn configured(
-        backend: Backend,
-        force_cold: bool,
-        timings_on: bool,
-        cache_mode: CacheMode,
-    ) -> Self {
+    fn configured(backend: Backend, force_cold: bool, timings_on: bool) -> Self {
         Self {
             backend,
             force_cold,
@@ -339,13 +298,8 @@ impl PipelineCx {
             reopt: Reoptimizer::new(),
             resilient: ResilientSolver::new(backend),
             prev_basis: None,
-            cache: None,
+            retained: None,
             stats: PipelineStats::ZERO,
-            cache_mode,
-            warm_class: None,
-            adopted_pending: false,
-            exact_hits: 0,
-            warm_hits: 0,
         }
     }
 
@@ -355,7 +309,7 @@ impl PipelineCx {
     }
 
     /// A fresh context with this one's configuration (backend, cold
-    /// override, timings, cache mode) but none of its state — what the
+    /// override, timings) but none of its state — what the
     /// parallel block pipeline hands each worker thread, so speculative
     /// per-block solves run under exactly the settings the joining context
     /// would have used. The worker's counters flush to the process-wide
@@ -363,12 +317,7 @@ impl PipelineCx {
     /// allocation server forks one context per worker thread the same way
     /// (and re-forks after containing a panicked request).
     pub fn fork(&self) -> Self {
-        Self::configured(
-            self.backend,
-            self.force_cold,
-            self.timings_on,
-            self.cache_mode,
-        )
+        Self::configured(self.backend, self.force_cold, self.timings_on)
     }
 
     /// This context's accumulated stage timings and solver counters (all
@@ -380,19 +329,6 @@ impl PipelineCx {
     /// Warm-start solves answered from retained residual state.
     pub fn warm_solves(&self) -> u64 {
         self.reopt.warm_solves()
-    }
-
-    /// Solves this context answered by replaying a cached solution from an
-    /// exact fingerprint hit (live even without [`LemraConfig::timings`]).
-    pub fn cache_exact_hits(&self) -> u64 {
-        self.exact_hits
-    }
-
-    /// Solves this context answered by warm-repairing reoptimizer state
-    /// adopted from the process-wide cache (live even without
-    /// [`LemraConfig::timings`]).
-    pub fn cache_warm_hits(&self) -> u64 {
-        self.warm_hits
     }
 
     /// Warm-path solves that had to (re)build solver state from scratch.
@@ -498,8 +434,8 @@ impl PipelineCx {
     pub(crate) fn solve(
         &mut self,
         net: &FlowNetwork,
-        s: lemra_netflow::NodeId,
-        t: lemra_netflow::NodeId,
+        s: NodeId,
+        t: NodeId,
         target: i64,
     ) -> Result<FlowSolution, NetflowError> {
         let t0 = self.clock();
@@ -533,126 +469,6 @@ impl PipelineCx {
         Ok(())
     }
 
-    /// Canon stage: canonicalize the built instance for the cross-request
-    /// cache. `None` (and zero recorded cost) when caching is off or the
-    /// cold override is set — the default path is byte-identical to the
-    /// pre-cache pipeline by construction.
-    ///
-    /// The result is memoized under the network's identity [`CacheStamp`]:
-    /// re-solving the same unmutated network object (repeated requests over
-    /// a shared built instance, the redundant-traffic shape) skips the
-    /// `O(E log E)` canonicalization entirely. Any mutation bumps the
-    /// network's version, so a stale memo entry can never be returned.
-    fn canon_stage(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-    ) -> Option<Arc<CanonicalInstance>> {
-        if self.cache_mode == CacheMode::Off || self.force_cold {
-            return None;
-        }
-        let t0 = self.clock();
-        let stamp = CacheStamp::of(net, s, t);
-        let canon = crate::cache::lookup_canon(stamp, target).unwrap_or_else(|| {
-            let canon = Arc::new(canonicalize(net, s, t, target));
-            crate::cache::insert_canon(stamp, target, Arc::clone(&canon));
-            canon
-        });
-        self.record(Stage::Canon, t0);
-        Some(canon)
-    }
-
-    /// Solve stage with the cross-request cache in front: exact hits replay
-    /// the cached optimum, warm mode additionally adopts (and returns)
-    /// per-class reoptimizer state, misses fall through to [`Self::solve`]
-    /// and populate the cache. The context's own sweep reoptimizer is never
-    /// touched — adoption here runs through a checked-out instance, so
-    /// [`Self::allocate_warm`]'s intra-sweep state cannot be clobbered by
-    /// an unrelated chain-flow or block solve.
-    ///
-    /// Public so callers holding a raw built network (the benches, external
-    /// drivers composing their own Build stage) can route a solve through
-    /// the same cache front the composed runs use.
-    ///
-    /// # Errors
-    ///
-    /// Same as a cold solve through the configured backend's fallback
-    /// chain: infeasibility, invalid endpoints, budget exhaustion.
-    pub fn cached_solve(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-    ) -> Result<FlowSolution, NetflowError> {
-        let Some(canon) = self.canon_stage(net, s, t, target) else {
-            return self.solve(net, s, t, target);
-        };
-        if let Some((flows, value)) = crate::cache::lookup_exact(canon.fingerprint) {
-            if let Some(sol) = replay_exact(net, s, t, &canon, &flows, value) {
-                self.exact_hits += 1;
-                crate::cache::note_exact_hit();
-                return Ok(sol);
-            }
-        }
-        let solution = if self.cache_mode == CacheMode::Warm {
-            let mut reopt = crate::cache::adopt_warm(canon.class).unwrap_or_default();
-            let adopted = reopt.is_warm();
-            let warm_before = reopt.warm_solves();
-            let t0 = self.clock();
-            let before = self
-                .timings_on
-                .then(|| (reopt.stats(), reopt.warm_solves(), reopt.cold_solves()));
-            let incidents_before = self.resilient.incident_count();
-            #[cfg(feature = "fault-inject")]
-            let result = {
-                let mut primary = InjectOnAdopted {
-                    inner: &mut reopt,
-                    armed: adopted,
-                };
-                self.resilient
-                    .solve_with_fallback(&mut primary, net, s, t, target)
-            };
-            #[cfg(not(feature = "fault-inject"))]
-            let result = self
-                .resilient
-                .solve_with_fallback(&mut reopt, net, s, t, target);
-            if self.resilient.incident_count() > incidents_before {
-                // The (possibly adopted) warm primary failed mid-solve:
-                // its residual may be mid-mutation, so drop the state
-                // rather than donate it. The returned solution, if any,
-                // came from a stateless fallback backend.
-                reopt.reset();
-            }
-            if let Some((stats, warm, cold)) = before {
-                self.stats.solver = self.stats.solver + (reopt.stats() - stats);
-                self.stats.solver.incidents += self.resilient.incident_count() - incidents_before;
-                self.stats.warm_solves += reopt.warm_solves() - warm;
-                self.stats.cold_solves += reopt.cold_solves() - cold;
-            }
-            if adopted && reopt.warm_solves() > warm_before {
-                self.warm_hits += 1;
-                crate::cache::note_warm_hit();
-            } else {
-                crate::cache::note_miss();
-            }
-            crate::cache::donate_warm(canon.class, reopt);
-            self.record(Stage::Solve, t0);
-            result?
-        } else {
-            crate::cache::note_miss();
-            self.solve(net, s, t, target)?
-        };
-        crate::cache::insert_exact(
-            canon.fingerprint,
-            canon.to_canonical_order(&solution.flows),
-            solution.value,
-        );
-        Ok(solution)
-    }
-
     // ---- composed runs ---------------------------------------------------
 
     /// Runs the full cold pipeline for one problem — exactly what the free
@@ -667,7 +483,7 @@ impl PipelineCx {
         let regions = self.profile(problem, &segmentation);
         let built = self.build(problem, &segmentation, &regions)?;
         let solution = self
-            .cached_solve(&built.net, built.s, built.t, i64::from(problem.registers))
+            .solve(&built.net, built.s, built.t, i64::from(problem.registers))
             .map_err(|e| flow_error(problem, e))?;
         let t0 = self.clock();
         let allocation = extract_allocation(problem, segmentation, &built, &solution)?;
@@ -691,20 +507,20 @@ impl PipelineCx {
             return self.allocate(problem);
         }
         // Re-price the retained network in place when the topology carries
-        // over from the previous point; rebuild (and recache) otherwise.
-        let covered = self.cache.as_ref().is_some_and(|c| c.covers(problem));
+        // over from the previous point; rebuild (and retain) otherwise.
+        let covered = self.retained.as_ref().is_some_and(|r| r.covers(problem));
         if covered {
             let t0 = self.clock();
-            let cache = self.cache.as_mut().expect("covered implies cached");
-            refresh(problem, &cache.segmentation, &mut cache.built)?;
-            let bytes = cache.built.heap_bytes();
+            let retained = self.retained.as_mut().expect("covered implies retained");
+            refresh(problem, &retained.segmentation, &mut retained.built)?;
+            let bytes = retained.built.heap_bytes();
             self.record(Stage::Build, t0);
             self.record_bytes(Stage::Build, bytes);
         } else {
             let segmentation = self.segment(problem);
             let regions = self.profile(problem, &segmentation);
             let built = self.build(problem, &segmentation, &regions)?;
-            self.cache = Some(RetainedNetwork {
+            self.retained = Some(RetainedNetwork {
                 lifetimes: problem.lifetimes.clone(),
                 split: problem.split.clone(),
                 style: problem.style,
@@ -715,57 +531,6 @@ impl PipelineCx {
             });
         }
 
-        let canon = {
-            // Detach the retained network for the stage call: `canon_stage`
-            // needs `&mut self` for its clock while borrowing the net.
-            let retained = self.cache.take().expect("cache populated above");
-            let built = &retained.built;
-            let canon =
-                self.canon_stage(&built.net, built.s, built.t, i64::from(problem.registers));
-            self.cache = Some(retained);
-            if let Some(c) = &canon {
-                // The Drop donation key: this context's reoptimizer state
-                // certifies (an instance of) this structural class.
-                self.warm_class = Some(c.class);
-            }
-            canon
-        };
-        if let Some(c) = &canon {
-            let mut replayed = None;
-            if let Some((flows, value)) = crate::cache::lookup_exact(c.fingerprint) {
-                let cache = self.cache.as_ref().expect("cache populated above");
-                let built = &cache.built;
-                replayed = replay_exact(&built.net, built.s, built.t, c, &flows, value);
-            }
-            if let Some(solution) = replayed {
-                // Exact hit: skip the solve entirely. The reoptimizer and
-                // the rescale basis still describe the point it last
-                // solved, so the next miss repairs from there as usual.
-                self.exact_hits += 1;
-                crate::cache::note_exact_hit();
-                let t0 = self.clock();
-                let cache = self.cache.as_ref().expect("cache populated above");
-                let allocation = extract_allocation(
-                    problem,
-                    cache.segmentation.clone(),
-                    &cache.built,
-                    &solution,
-                )?;
-                self.record(Stage::Bind, t0);
-                self.validate(problem, &allocation)?;
-                return Ok(allocation);
-            }
-            // Cross-request adoption: a context that has not yet built
-            // sweep state of its own starts from the class's donated
-            // reoptimizer (intra-sweep warmth always wins over adoption).
-            if self.cache_mode == CacheMode::Warm && !self.reopt.is_warm() {
-                if let Some(adopted) = crate::cache::adopt_warm(c.class) {
-                    self.reopt = adopted;
-                    self.adopted_pending = true;
-                }
-            }
-        }
-
         let t0 = self.clock();
         let reopt_before = self.timings_on.then(|| {
             (
@@ -774,8 +539,8 @@ impl PipelineCx {
                 self.reopt.cold_solves(),
             )
         });
-        let cache = self.cache.as_ref().expect("cache populated above");
-        let built = &cache.built;
+        let retained = self.retained.as_ref().expect("retained above");
+        let built = &retained.built;
         let target = i64::from(problem.registers);
         // Solver-unit costs are raw energies times scale/unit. The raw
         // energies split by arc class: chain, sink, segment and bypass
@@ -828,7 +593,6 @@ impl PipelineCx {
             }
         }
         let incidents_before = self.resilient.incident_count();
-        let warm_solves_before = self.reopt.warm_solves();
         let solution = self.resilient.solve_with_fallback(
             &mut self.reopt,
             &built.net,
@@ -864,26 +628,16 @@ impl PipelineCx {
             self.stats.warm_solves += self.reopt.warm_solves() - warm;
             self.stats.cold_solves += self.reopt.cold_solves() - cold;
         }
-        if let Some(c) = &canon {
-            if self.adopted_pending && self.reopt.warm_solves() > warm_solves_before {
-                self.warm_hits += 1;
-                crate::cache::note_warm_hit();
-            } else {
-                crate::cache::note_miss();
-            }
-            crate::cache::insert_exact(
-                c.fingerprint,
-                c.to_canonical_order(&solution.flows),
-                solution.value,
-            );
-        }
-        self.adopted_pending = false;
         self.record(Stage::Solve, t0);
 
         let t0 = self.clock();
-        let cache = self.cache.as_ref().expect("cache populated above");
-        let allocation =
-            extract_allocation(problem, cache.segmentation.clone(), &cache.built, &solution)?;
+        let retained = self.retained.as_ref().expect("retained above");
+        let allocation = extract_allocation(
+            problem,
+            retained.segmentation.clone(),
+            &retained.built,
+            &solution,
+        )?;
         self.record(Stage::Bind, t0);
         self.validate(problem, &allocation)?;
         Ok(allocation)
@@ -994,7 +748,7 @@ pub(crate) fn solve_chain_flow(
     cx.record_bytes(Stage::Build, net.heap_bytes());
 
     let sol = cx
-        .cached_solve(&net, s, t, i64::from(spec.capacity))
+        .solve(&net, s, t, i64::from(spec.capacity))
         .map_err(|e| match e {
             NetflowError::Infeasible { required, achieved } => CoreError::TooFewRegisters {
                 registers: spec.capacity,
@@ -1029,92 +783,6 @@ pub(crate) fn solve_chain_flow(
     }
     cx.record(Stage::Bind, t0);
     Ok(ChainFlowOutcome { chains })
-}
-
-/// Fault-injection-only primary wrapper for the warm cache path: a planned
-/// `cache`-qualified panic (`LEMRA_FAULT=panic@0:cache`) fires inside the
-/// **adopted** (cache-hit) solve attempt, within the resilient chain's own
-/// per-attempt containment — so the injected failure exercises the genuine
-/// degradation path: incident recorded, stateless fallback re-solves cold,
-/// and [`PipelineCx::cached_solve`] drops the poisoned adopted state
-/// instead of donating it back. Non-adopted (miss) solves never consult
-/// the plan, keeping the fault aimed at a real cache hit.
-#[cfg(feature = "fault-inject")]
-struct InjectOnAdopted<'a> {
-    inner: &'a mut Reoptimizer,
-    armed: bool,
-}
-
-#[cfg(feature = "fault-inject")]
-impl lemra_netflow::McfSolver for InjectOnAdopted<'_> {
-    fn name(&self) -> &'static str {
-        lemra_netflow::McfSolver::name(self.inner)
-    }
-
-    fn solve(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        ws: &mut lemra_netflow::SolverWorkspace,
-    ) -> Result<FlowSolution, NetflowError> {
-        if self.armed && lemra_netflow::maybe_inject_cache() {
-            panic!("injected fault: panic in adopted cache-hit solve");
-        }
-        lemra_netflow::McfSolver::solve(self.inner, net, s, t, target, ws)
-    }
-
-    fn solve_budgeted(
-        &mut self,
-        net: &FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        target: i64,
-        ws: &mut lemra_netflow::SolverWorkspace,
-        budget: SolveBudget,
-    ) -> Result<FlowSolution, NetflowError> {
-        if self.armed && lemra_netflow::maybe_inject_cache() {
-            panic!("injected fault: panic in adopted cache-hit solve");
-        }
-        lemra_netflow::McfSolver::solve_budgeted(self.inner, net, s, t, target, ws, budget)
-    }
-}
-
-/// Replays a cached canonical-order flow onto `net` through `canon`'s
-/// permutation and re-validates the result against the live network, so a
-/// fingerprint collision (or corrupted entry) degrades to a miss, never to
-/// a wrong answer. Panics inside the replay — the fault-injection hook, or
-/// a permutation/length bug — are contained here and also degrade to a
-/// miss, which sends the caller down the ordinary cold path.
-fn replay_exact(
-    net: &FlowNetwork,
-    s: NodeId,
-    t: NodeId,
-    canon: &CanonicalInstance,
-    canonical_flows: &[i64],
-    value: i64,
-) -> Option<FlowSolution> {
-    if canonical_flows.len() != canon.arc_count() {
-        return None;
-    }
-    let replay = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        #[cfg(feature = "fault-inject")]
-        if lemra_netflow::maybe_inject_cache() {
-            panic!("injected fault: cache-hit replay");
-        }
-        let flows = canon.from_canonical_order(canonical_flows);
-        let mut sol = FlowSolution {
-            flows,
-            value,
-            cost: 0,
-        };
-        sol.cost = sol.recompute_cost(net);
-        sol
-    }));
-    let sol = replay.ok()?;
-    lemra_netflow::validate(net, s, t, &sol).ok()?;
-    Some(sol)
 }
 
 #[cfg(test)]
@@ -1193,200 +861,6 @@ mod tests {
             ["segment", "profile", "build", "canon", "solve", "bind", "validate"]
         );
         assert_eq!(Stage::Solve.to_string(), "solve");
-    }
-
-    #[test]
-    fn exact_hits_replay_byte_identical_reports_across_backends() {
-        // A lifetime shape used by no other test, so the first solve below
-        // is the process-wide cache's first sight of the instance.
-        let table = LifetimeTable::from_intervals(
-            11,
-            vec![
-                (1, vec![4], false),
-                (2, vec![7, 9], false),
-                (5, vec![11], false),
-            ],
-        )
-        .unwrap();
-        let p = AllocationProblem::new(table, 2);
-        let cold = crate::allocate(&p).unwrap();
-        for backend in Backend::ALL {
-            let mut seed = PipelineCx::with_backend_cache(backend, CacheMode::Exact);
-            let first = seed.allocate(&p).unwrap();
-            assert_eq!(first.placements(), cold.placements(), "{backend}");
-            let mut cx = PipelineCx::with_backend_cache(backend, CacheMode::Exact);
-            let hit = cx.allocate(&p).unwrap();
-            assert_eq!(cx.cache_exact_hits(), 1, "{backend} must replay, not solve");
-            assert_eq!(hit.placements(), cold.placements(), "{backend}");
-            assert_eq!(hit.chains(), cold.chains(), "{backend}");
-            assert_eq!(hit.flow_cost(), cold.flow_cost(), "{backend}");
-            for v in 0..3 {
-                let v = lemra_ir::VarId(v);
-                assert_eq!(hit.memory_address(v), cold.memory_address(v), "{backend}");
-            }
-        }
-    }
-
-    #[test]
-    fn warm_hits_adopt_cross_request_state_and_match_cold_across_backends() {
-        use lemra_energy::EnergyModel;
-        let table = LifetimeTable::from_intervals(
-            10,
-            vec![
-                (1, vec![3, 6], false),
-                (2, vec![8], false),
-                (4, vec![10], false),
-            ],
-        )
-        .unwrap();
-        for (i, backend) in Backend::ALL.into_iter().enumerate() {
-            // Distinct voltages per backend keep every instance's *exact*
-            // fingerprint fresh (forcing the solve) while the structural
-            // class — and therefore the warm adoption path — is shared.
-            let volts = 3.3 - 0.07 * i as f64;
-            let base = AllocationProblem::new(table.clone(), 2)
-                .with_energy(EnergyModel::default_16bit().with_memory_voltage(volts));
-            let shifted = AllocationProblem::new(table.clone(), 2)
-                .with_energy(EnergyModel::default_16bit().with_memory_voltage(volts - 0.5));
-            {
-                // The donor context solves and returns its reoptimizer to
-                // the class slot via the immediate donate in cached_solve.
-                let mut donor = PipelineCx::with_backend_cache(backend, CacheMode::Warm);
-                donor.allocate(&base).unwrap();
-            }
-            let mut cx = PipelineCx::with_backend_cache(backend, CacheMode::Warm);
-            let warm = cx.allocate(&shifted).unwrap();
-            assert_eq!(
-                cx.cache_warm_hits(),
-                1,
-                "{backend} must repair adopted state"
-            );
-            let cold = crate::allocate(&shifted).unwrap();
-            assert_eq!(warm.placements(), cold.placements(), "{backend}");
-            assert_eq!(warm.chains(), cold.chains(), "{backend}");
-            assert_eq!(warm.flow_cost(), cold.flow_cost(), "{backend}");
-        }
-    }
-
-    #[test]
-    fn warm_sweep_second_pass_replays_exact_hits() {
-        use lemra_energy::EnergyModel;
-        let table = LifetimeTable::from_intervals(
-            12,
-            vec![
-                (1, vec![5], false),
-                (3, vec![9], false),
-                (6, vec![12], false),
-            ],
-        )
-        .unwrap();
-        let points = [(3.2f64, 1u32), (2.6, 1), (2.0, 2)];
-        let run = || {
-            let mut cx = PipelineCx::with_cache_mode(CacheMode::Warm);
-            let mut out = Vec::new();
-            for (volts, regs) in points {
-                let p = AllocationProblem::new(table.clone(), regs)
-                    .with_energy(EnergyModel::default_16bit().with_memory_voltage(volts));
-                out.push(cx.allocate_warm(&p).unwrap());
-            }
-            (cx.cache_exact_hits(), out)
-        };
-        let (_, first) = run();
-        let (hits, second) = run();
-        assert_eq!(hits, 3, "the repeat sweep must be answered from cache");
-        for ((a, b), (volts, regs)) in first.iter().zip(&second).zip(points) {
-            assert_eq!(a.placements(), b.placements());
-            assert_eq!(a.flow_cost(), b.flow_cost());
-            let p = AllocationProblem::new(table.clone(), regs)
-                .with_energy(EnergyModel::default_16bit().with_memory_voltage(volts));
-            let cold = crate::allocate(&p).unwrap();
-            assert_eq!(b.placements(), cold.placements());
-            assert_eq!(b.flow_cost(), cold.flow_cost());
-        }
-    }
-
-    #[test]
-    fn cache_off_contexts_never_touch_the_cache() {
-        let p = problem();
-        let mut cx = PipelineCx::with_cache_mode(CacheMode::Off);
-        cx.allocate(&p).unwrap();
-        cx.allocate_warm(&p).unwrap();
-        assert_eq!(cx.cache_exact_hits(), 0);
-        assert_eq!(cx.cache_warm_hits(), 0);
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn replay_panic_degrades_to_a_byte_identical_cold_solve() {
-        use lemra_netflow::FaultPlan;
-        let table = LifetimeTable::from_intervals(
-            13,
-            vec![
-                (2, vec![6], false),
-                (4, vec![10], false),
-                (7, vec![13], false),
-            ],
-        )
-        .unwrap();
-        let p = AllocationProblem::new(table, 2);
-        let cold = crate::allocate(&p).unwrap();
-        let mut seed = PipelineCx::with_cache_mode(CacheMode::Exact);
-        seed.allocate(&p).unwrap();
-        // Arm a panic inside the next cache-hit replay; the hit must
-        // degrade to a miss and the cold path must commit the same bytes.
-        let plan: FaultPlan = "panic@0:cache".parse().unwrap();
-        plan.install();
-        let mut cx = PipelineCx::with_cache_mode(CacheMode::Exact);
-        let recovered = cx.allocate(&p).unwrap();
-        FaultPlan::clear();
-        assert_eq!(cx.cache_exact_hits(), 0, "the poisoned replay is not a hit");
-        assert_eq!(recovered.placements(), cold.placements());
-        assert_eq!(recovered.chains(), cold.chains());
-        assert_eq!(recovered.flow_cost(), cold.flow_cost());
-        // The fault fired once; a fresh context replays cleanly again.
-        let mut cx = PipelineCx::with_cache_mode(CacheMode::Exact);
-        let replayed = cx.allocate(&p).unwrap();
-        assert_eq!(cx.cache_exact_hits(), 1);
-        assert_eq!(replayed.placements(), cold.placements());
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn adopted_warm_solve_panic_falls_back_cold_byte_identically() {
-        use lemra_energy::EnergyModel;
-        use lemra_netflow::FaultPlan;
-        let table = LifetimeTable::from_intervals(
-            14,
-            vec![
-                (1, vec![4], false),
-                (3, vec![9], false),
-                (6, vec![12], false),
-                (8, vec![14], false),
-            ],
-        )
-        .unwrap();
-        let base = AllocationProblem::new(table.clone(), 2)
-            .with_energy(EnergyModel::default_16bit().with_memory_voltage(2.9));
-        let shifted = AllocationProblem::new(table, 2)
-            .with_energy(EnergyModel::default_16bit().with_memory_voltage(2.3));
-        let cold = crate::allocate(&shifted).unwrap();
-        {
-            // Donor populates the class slot the next context will adopt.
-            let mut donor = PipelineCx::with_cache_mode(CacheMode::Warm);
-            donor.allocate(&base).unwrap();
-        }
-        // Arm a panic inside the next adopted (cache-hit) solve: the
-        // resilient chain must contain it, re-solve cold via a stateless
-        // fallback, drop the poisoned state, and commit the same bytes.
-        let plan: FaultPlan = "panic@0:cache".parse().unwrap();
-        plan.install();
-        let mut cx = PipelineCx::with_cache_mode(CacheMode::Warm);
-        let recovered = cx.allocate(&shifted).unwrap();
-        FaultPlan::clear();
-        assert_eq!(cx.cache_warm_hits(), 0, "the panicked adoption is a miss");
-        assert_eq!(recovered.placements(), cold.placements());
-        assert_eq!(recovered.chains(), cold.chains());
-        assert_eq!(recovered.flow_cost(), cold.flow_cost());
     }
 
     #[test]

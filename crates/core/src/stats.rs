@@ -1,52 +1,23 @@
-//! One uniform counters surface: [`StatsSnapshot`] packages the pipeline
-//! stage timings ([`PipelineStats`], which embeds the solver's
-//! [`SolverStats`](lemra_netflow::SolverStats) counters) together with the
-//! cross-request cache counters ([`CacheStats`]) behind a single `collect`
-//! + `render` pair.
-//!
-//! Before this module, three call sites each walked the counters by hand —
-//! `repro --timings`, the `wholeprogram` driver's timing block, and the
-//! allocation server's admin endpoint. They now all format the same
-//! snapshot; the rendering below is pinned byte-for-byte by a regression
-//! test because CI greps the `repro --timings` stderr lines.
+//! The `--timings` report: [`PipelineStats::render_timings`] formats the
+//! process-wide pipeline counters ([`pipeline_stats`](crate::pipeline_stats))
+//! for `repro --timings`, the `wholeprogram` binary's timing block and the
+//! allocation server's `--timings` exit report. A regression test pins the
+//! rendering byte-for-byte, so scripts reading those stderr lines can rely
+//! on it.
 
-use crate::cache::{cache_stats, CacheStats};
-use crate::pipeline::{pipeline_stats, PipelineStats, Stage};
+use crate::pipeline::{PipelineStats, Stage};
 use std::fmt::Write as _;
 
-/// A point-in-time copy of every process-wide counter the pipeline keeps:
-/// per-stage timings, solver effort, incidents and cache traffic.
-///
-/// # Examples
-///
-/// ```
-/// use lemra_core::StatsSnapshot;
-///
-/// let snapshot = StatsSnapshot::collect();
-/// assert!(snapshot.render_timings().starts_with("-- pipeline stage timings --"));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StatsSnapshot {
-    /// Stage timings, solve counts and solver counters (populated only
-    /// when [`LemraConfig::timings`](lemra_netflow::LemraConfig) is on —
-    /// contexts don't pay for clocks otherwise).
-    pub pipeline: PipelineStats,
-    /// Cross-request allocation cache counters (always live).
-    pub cache: CacheStats,
-}
-
-impl StatsSnapshot {
-    /// Snapshots the process-wide stats registry and cache counters.
-    pub fn collect() -> Self {
-        StatsSnapshot {
-            pipeline: pipeline_stats(),
-            cache: cache_stats(),
-        }
-    }
-
-    /// The `--timings` stderr block, exactly as `repro` has always printed
-    /// it: the stage table, the solves line, the cache line. Each line is
-    /// `\n`-terminated; print with `eprint!`, not `eprintln!`.
+impl PipelineStats {
+    /// The `--timings` stderr block: the stage table and the solves line.
+    /// Each line is `\n`-terminated; print with `eprint!`, not `eprintln!`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// let text = lemra_core::pipeline_stats().render_timings();
+    /// assert!(text.starts_with("-- pipeline stage timings --"));
+    /// ```
     pub fn render_timings(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "-- pipeline stage timings --");
@@ -56,7 +27,7 @@ impl StatsSnapshot {
             "stage", "runs", "total ms", "peak KiB"
         );
         for stage in Stage::ALL {
-            let t = self.pipeline.stage(stage);
+            let t = self.stage(stage);
             let _ = writeln!(
                 out,
                 "  {:<10} {:>7} {:>12.3} {:>12.1}",
@@ -69,23 +40,11 @@ impl StatsSnapshot {
         let _ = writeln!(
             out,
             "  solves: {} warm, {} cold; {} dijkstra rounds, {} units pushed, {} incidents",
-            self.pipeline.warm_solves,
-            self.pipeline.cold_solves,
-            self.pipeline.solver.dijkstra_rounds,
-            self.pipeline.solver.pushed_units,
-            self.pipeline.solver.incidents
-        );
-        let _ = writeln!(
-            out,
-            "  cache: {} exact hits, {} warm hits, {} misses, {} insertions, {} evictions; \
-             {} exact + {} warm entries resident",
-            self.cache.exact_hits,
-            self.cache.warm_hits,
-            self.cache.misses,
-            self.cache.insertions,
-            self.cache.evictions,
-            self.cache.exact_entries,
-            self.cache.warm_entries
+            self.warm_solves,
+            self.cold_solves,
+            self.solver.dijkstra_rounds,
+            self.solver.pushed_units,
+            self.solver.incidents
         );
         out
     }
@@ -95,12 +54,11 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
 
-    /// CI's cache-determinism and cache-fault jobs grep the `--timings`
-    /// stderr lines; this pins the rendering byte-for-byte so routing the
-    /// three old call sites through one snapshot can never drift them.
+    /// Pins the `--timings` rendering byte-for-byte, so the three call
+    /// sites can never drift apart.
     #[test]
     fn render_timings_format_is_pinned() {
-        let zero = StatsSnapshot::default();
+        let zero = PipelineStats::default();
         let expected = "\
 -- pipeline stage timings --
   stage         runs     total ms     peak KiB
@@ -112,22 +70,18 @@ mod tests {
   bind             0        0.000          0.0
   validate         0        0.000          0.0
   solves: 0 warm, 0 cold; 0 dijkstra rounds, 0 units pushed, 0 incidents
-  cache: 0 exact hits, 0 warm hits, 0 misses, 0 insertions, 0 evictions; \
-0 exact + 0 warm entries resident
 ";
         assert_eq!(zero.render_timings(), expected);
     }
 
     #[test]
     fn render_timings_carries_the_counters() {
-        let mut snapshot = StatsSnapshot::default();
-        snapshot.pipeline.warm_solves = 3;
-        snapshot.pipeline.cold_solves = 2;
-        snapshot.pipeline.solver.incidents = 1;
-        snapshot.cache.exact_hits = 7;
-        let text = snapshot.render_timings();
+        let mut stats = PipelineStats::default();
+        stats.warm_solves = 3;
+        stats.cold_solves = 2;
+        stats.solver.incidents = 1;
+        let text = stats.render_timings();
         assert!(text.contains("solves: 3 warm, 2 cold;"));
         assert!(text.contains("1 incidents"));
-        assert!(text.contains("cache: 7 exact hits,"));
     }
 }

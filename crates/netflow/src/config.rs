@@ -29,51 +29,6 @@ pub const THREADS_ENV: &str = "LEMRA_THREADS";
 /// comparisons against the warm path).
 pub const COLD_ENV: &str = "LEMRA_COLD";
 
-/// Environment variable selecting the cross-request allocation cache mode
-/// (`off` — default, no cache; `exact` — replay byte-identical solutions on
-/// exact fingerprint hits; `warm` — additionally adopt retained reoptimizer
-/// state across requests within a structural class).
-pub const CACHE_ENV: &str = "LEMRA_CACHE";
-
-/// Environment variable capping the allocation cache's entry count per
-/// table (positive integer; default 128). Above the cap the entry with the
-/// fewest recorded accesses is evicted, oldest first on ties.
-pub const CACHE_CAP_ENV: &str = "LEMRA_CACHE_CAP";
-
-/// Cross-request allocation cache mode, parsed from [`CACHE_ENV`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CacheMode {
-    /// No cross-request caching (the default; byte-identical to the
-    /// pre-cache pipeline by construction).
-    #[default]
-    Off,
-    /// Exact-fingerprint hits replay the cached solution; misses solve
-    /// cold and populate the cache.
-    Exact,
-    /// [`CacheMode::Exact`] plus warm-start adoption: retained reoptimizer
-    /// state is checked out per structural class, so sweep-style cost
-    /// deltas repair instead of re-solving.
-    Warm,
-}
-
-impl std::str::FromStr for CacheMode {
-    type Err = NetflowError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(CacheMode::Off),
-            "exact" => Ok(CacheMode::Exact),
-            "warm" => Ok(CacheMode::Warm),
-            other => Err(NetflowError::InvalidArc {
-                reason: format!(
-                    "{CACHE_ENV}=`{other}` is not a cache mode \
-                     (expected off, exact or warm)"
-                ),
-            }),
-        }
-    }
-}
-
 /// The process-wide configuration snapshot.
 ///
 /// Obtain it with [`LemraConfig::get`]; binaries with their own flags build
@@ -102,10 +57,6 @@ pub struct LemraConfig {
     /// Whether the `validate` cargo feature (in-solve invariant auditing)
     /// is compiled in — informational, for reports.
     pub validate: bool,
-    /// Cross-request allocation cache mode (default off).
-    pub cache: CacheMode,
-    /// Allocation cache capacity, entries per table (default 128).
-    pub cache_cap: usize,
 }
 
 impl Default for LemraConfig {
@@ -116,8 +67,6 @@ impl Default for LemraConfig {
             cold: false,
             timings: false,
             validate: cfg!(feature = "validate"),
-            cache: CacheMode::Off,
-            cache_cap: 128,
         }
     }
 }
@@ -126,9 +75,9 @@ static CONFIG: OnceLock<LemraConfig> = OnceLock::new();
 
 impl LemraConfig {
     /// Builds a configuration from the environment ([`BACKEND_ENV`],
-    /// [`THREADS_ENV`], [`COLD_ENV`], [`CACHE_ENV`], [`CACHE_CAP_ENV`]);
-    /// unset variables fall back to the defaults. Timings are flag-only (no env
-    /// variable), so they default to off.
+    /// [`THREADS_ENV`], [`COLD_ENV`]); unset variables fall back to the
+    /// defaults. Timings are flag-only (no env variable), so they default
+    /// to off.
     ///
     /// # Errors
     ///
@@ -141,8 +90,6 @@ impl LemraConfig {
             std::env::var(BACKEND_ENV).ok().as_deref(),
             std::env::var(THREADS_ENV).ok().as_deref(),
             std::env::var(COLD_ENV).ok().as_deref(),
-            std::env::var(CACHE_ENV).ok().as_deref(),
-            std::env::var(CACHE_CAP_ENV).ok().as_deref(),
         )
     }
 
@@ -156,8 +103,6 @@ impl LemraConfig {
         backend: Option<&str>,
         threads: Option<&str>,
         cold: Option<&str>,
-        cache: Option<&str>,
-        cache_cap: Option<&str>,
     ) -> Result<Self, NetflowError> {
         let backend = backend.map_or(Ok(Backend::default()), str::parse)?;
         let threads = threads
@@ -171,23 +116,10 @@ impl LemraConfig {
             })
             .transpose()?;
         let cold = cold.is_some_and(|v| !v.is_empty() && v != "0");
-        let cache = cache.map_or(Ok(CacheMode::default()), str::parse)?;
-        let cache_cap = cache_cap
-            .map(|v| {
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| NetflowError::InvalidArc {
-                        reason: format!("{CACHE_CAP_ENV}=`{v}` is not a positive entry count"),
-                    })
-            })
-            .transpose()?;
         Ok(Self {
             backend,
             threads,
             cold,
-            cache,
-            cache_cap: cache_cap.unwrap_or(Self::default().cache_cap),
             ..Self::default()
         })
     }
@@ -266,20 +198,19 @@ mod tests {
 
     #[test]
     fn from_vars_parses_each_knob() {
-        let cfg =
-            LemraConfig::from_vars(Some("simplex"), Some("3"), Some("1"), None, None).unwrap();
+        let cfg = LemraConfig::from_vars(Some("simplex"), Some("3"), Some("1")).unwrap();
         assert_eq!(cfg.backend, Backend::Simplex);
         assert_eq!(cfg.threads, Some(3));
         assert!(cfg.cold);
-        let unset = LemraConfig::from_vars(None, None, None, None, None).unwrap();
+        let unset = LemraConfig::from_vars(None, None, None).unwrap();
         assert_eq!(unset, LemraConfig::default());
-        let off = LemraConfig::from_vars(None, None, Some("0"), None, None).unwrap();
+        let off = LemraConfig::from_vars(None, None, Some("0")).unwrap();
         assert!(!off.cold);
     }
 
     #[test]
     fn unknown_backend_is_an_error_listing_valid_names() {
-        let err = LemraConfig::from_vars(Some("simplx"), None, None, None, None).unwrap_err();
+        let err = LemraConfig::from_vars(Some("simplx"), None, None).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("simplx"), "names the offender: {msg}");
         assert!(msg.contains("ssp, simplex"), "lists the backends: {msg}");
@@ -291,7 +222,7 @@ mod tests {
     #[test]
     fn removed_backends_are_rejected() {
         for name in ["scaling", "cycle", "cost_scaling", "par_ssp", "auto"] {
-            let env = LemraConfig::from_vars(Some(name), None, None, None, None)
+            let env = LemraConfig::from_vars(Some(name), None, None)
                 .unwrap_err()
                 .to_string();
             let flag = name.parse::<Backend>().unwrap_err().to_string();
@@ -303,31 +234,8 @@ mod tests {
     }
 
     #[test]
-    fn cache_mode_parses_strictly_and_rejects_typos() {
-        assert_eq!("off".parse::<CacheMode>().unwrap(), CacheMode::Off);
-        assert_eq!("exact".parse::<CacheMode>().unwrap(), CacheMode::Exact);
-        assert_eq!("warm".parse::<CacheMode>().unwrap(), CacheMode::Warm);
-        for bad in ["on", "1", "Warm", "wram", ""] {
-            let err = bad.parse::<CacheMode>().unwrap_err().to_string();
-            assert!(err.contains(CACHE_ENV), "names the variable: {err}");
-            for name in ["off", "exact", "warm"] {
-                assert!(err.contains(name), "lists `{name}`: {err}");
-            }
-        }
-        let cfg = LemraConfig::from_vars(None, None, None, Some("warm"), Some("7")).unwrap();
-        assert_eq!(cfg.cache, CacheMode::Warm);
-        assert_eq!(cfg.cache_cap, 7);
-        assert!(
-            LemraConfig::from_vars(None, None, None, Some("wram"), None).is_err(),
-            "a typo'd {CACHE_ENV} must fail loudly"
-        );
-        assert!(LemraConfig::from_vars(None, None, None, None, Some("0")).is_err());
-        assert!(LemraConfig::from_vars(None, None, None, None, Some("many")).is_err());
-    }
-
-    #[test]
     fn malformed_numeric_knobs_are_errors() {
-        assert!(LemraConfig::from_vars(None, Some("zero"), None, None, None).is_err());
-        assert!(LemraConfig::from_vars(None, Some("0"), None, None, None).is_err());
+        assert!(LemraConfig::from_vars(None, Some("zero"), None).is_err());
+        assert!(LemraConfig::from_vars(None, Some("0"), None).is_err());
     }
 }

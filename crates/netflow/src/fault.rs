@@ -46,8 +46,13 @@ use std::sync::{Mutex, OnceLock};
 /// Environment variable holding the fault specification
 /// (`kind@target[:qualifier]`, comma-separated; kinds: `panic`, `budget`,
 /// `overflow`, `conn`; target: solve index, request id for `conn`, or the
-/// wildcard `solve`; qualifier: backend name, `cache` or `req<id>`).
+/// wildcard `solve`; qualifier: `ssp`, `simplex`, `reopt` or `req<id>`).
 pub const FAULT_ENV: &str = "LEMRA_FAULT";
+
+/// Solver names a fault may be qualified with: the two backends and the
+/// warm-start [`Reoptimizer`](crate::Reoptimizer). Any other name would
+/// never match an attempt, so the parser refuses it.
+const SOLVER_QUALIFIERS: [&str; 3] = ["ssp", "simplex", "reopt"];
 
 /// The kind of failure an injected fault simulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,8 +88,8 @@ impl FaultKind {
 struct Fault {
     kind: FaultKind,
     at: Option<u64>,
-    /// Restrict to attempts running this backend (or the `cache` /
-    /// `req<id>` conventions); `None` hits the first attempt of the solve
+    /// Restrict to attempts running this backend (or to one request, the
+    /// `req<id>` convention); `None` hits the first attempt of the solve
     /// regardless of backend.
     backend: Option<String>,
     fired: bool,
@@ -322,6 +327,13 @@ impl std::str::FromStr for FaultPlan {
                             ),
                         });
                     }
+                } else if !SOLVER_QUALIFIERS.contains(&b) {
+                    return Err(NetflowError::InvalidArc {
+                        reason: format!(
+                            "invalid fault spec `{part}`: unknown qualifier `{b}` \
+                             (expected ssp, simplex, reopt or req<id>)"
+                        ),
+                    });
                 }
             }
             if kind == FaultKind::Conn && (at.is_none() || backend.is_some()) {
@@ -341,31 +353,6 @@ impl std::str::FromStr for FaultPlan {
         }
         Ok(plan)
     }
-}
-
-/// Injection point inside a cache-hit solve, selected by the backend-name
-/// convention `cache` (e.g. `LEMRA_FAULT=panic@0:cache`). The allocation
-/// cache consults it at both of its hit paths — the exact-entry replay and
-/// the adopted-reoptimizer warm solve — and the fault fires on whichever
-/// hit comes first after installation. The solve index in the spec is
-/// ignored, because replays never reach the resilience layer's solve
-/// counter. Fires once, like every fault; the caller is expected to
-/// contain the panic and fall back to a cold solve.
-pub fn maybe_inject_cache() -> bool {
-    let mut guard = ACTIVE.lock().expect("fault plan lock poisoned");
-    let Some(plan) = guard.as_mut() else {
-        return false;
-    };
-    for fault in &mut plan.faults {
-        if fault.fired || fault.kind != FaultKind::Panic {
-            continue;
-        }
-        if fault.backend.as_deref() == Some("cache") {
-            fault.fired = true;
-            return true;
-        }
-    }
-    false
 }
 
 /// Consults the active plan for a connection fault targeting `request`
@@ -556,16 +543,24 @@ mod tests {
     }
 
     #[test]
-    fn cache_faults_match_the_cache_qualifier_and_fire_once() {
-        let _serial = serial();
-        let plan: FaultPlan = "panic@0:cache".parse().unwrap();
-        plan.install();
-        assert!(maybe_inject_cache());
-        assert!(!maybe_inject_cache());
-        // Index-targeted and backend-targeted faults never hit the replay.
-        let plan: FaultPlan = "panic@0".parse().unwrap();
-        plan.install();
-        assert!(!maybe_inject_cache());
-        FaultPlan::clear();
+    fn unknown_qualifiers_are_rejected() {
+        // Each of these used to parse and then never fire: a removed
+        // backend, a typo, the removed region and cache qualifiers.
+        for spec in [
+            "panic@0:scaling",
+            "panic@0:sssp",
+            "panic@0:region1",
+            "panic@0:cache",
+        ] {
+            let msg = spec.parse::<FaultPlan>().unwrap_err().to_string();
+            assert!(msg.contains(spec), "names the spec: {msg}");
+            assert!(
+                msg.contains("ssp, simplex, reopt or req<id>"),
+                "lists the qualifiers: {msg}"
+            );
+        }
+        for spec in ["panic@0:ssp", "budget@1:simplex", "overflow@2:reopt"] {
+            assert!(spec.parse::<FaultPlan>().is_ok(), "{spec}");
+        }
     }
 }

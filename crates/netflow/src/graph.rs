@@ -111,6 +111,40 @@ fn fresh_network_uid() -> u64 {
     NEXT_NETWORK_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
+/// Identity stamp of a network's contents for a given endpoint pair: the
+/// process-unique `(uid, version)` of [`FlowNetwork`] plus `s`/`t`. Two
+/// stamps compare equal only if taken from the same network instance, with
+/// no mutation in between, for the same endpoints — the validity condition
+/// for caching artifacts derived from a scan of the arcs (input-validation
+/// verdicts, residual CSR layouts).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CacheStamp {
+    uid: u64,
+    version: u64,
+    s: u32,
+    t: u32,
+}
+
+impl CacheStamp {
+    /// Stamp of `net`'s current contents for endpoints `s → t`.
+    #[inline]
+    pub(crate) fn of(net: &FlowNetwork, s: NodeId, t: NodeId) -> Self {
+        Self::from_parts(net, s.index(), t.index())
+    }
+
+    /// Stamp from raw parts (for call sites that carry indices, not ids).
+    #[inline]
+    pub(crate) fn from_parts(net: &FlowNetwork, s: usize, t: usize) -> Self {
+        let (uid, version) = net.cache_stamp();
+        Self {
+            uid,
+            version,
+            s: s as u32,
+            t: t as u32,
+        }
+    }
+}
+
 impl Default for FlowNetwork {
     fn default() -> Self {
         Self {

@@ -80,7 +80,6 @@
 
 mod batch;
 mod budget;
-mod canon;
 mod config;
 mod cycle_cancel;
 mod dinic;
@@ -100,16 +99,13 @@ mod workspace;
 
 pub use batch::{solve_batch, solve_batch_on, BatchProblem};
 pub use budget::SolveBudget;
-pub use canon::{canonicalize, CacheStamp, CanonicalInstance, Fingerprint};
-pub use config::{
-    CacheMode, LemraConfig, BACKEND_ENV, CACHE_CAP_ENV, CACHE_ENV, COLD_ENV, THREADS_ENV,
-};
+pub use config::{LemraConfig, BACKEND_ENV, COLD_ENV, THREADS_ENV};
 pub use dinic::max_flow;
 pub use dot::to_dot;
 #[cfg(feature = "fault-inject")]
 pub use fault::{
-    ensure_env_plan, injected_conn_count, injected_fault_count, maybe_inject_cache,
-    maybe_inject_conn, FaultKind, FaultPlan, RequestScope, FAULT_ENV,
+    ensure_env_plan, injected_conn_count, injected_fault_count, maybe_inject_conn, FaultKind,
+    FaultPlan, RequestScope, FAULT_ENV,
 };
 pub use graph::{Arc, ArcId, FlowNetwork, NodeId};
 pub use reopt::Reoptimizer;

@@ -171,14 +171,6 @@ impl Reoptimizer {
         self.warm_solves
     }
 
-    /// Whether solver state is currently retained, i.e. the next compatible
-    /// solve repairs instead of rebuilding. The cross-request cache consults
-    /// this before adopting donated state: a reoptimizer that is already
-    /// warm keeps its own state (intra-context reuse beats adoption).
-    pub fn is_warm(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// Installs a [`SolveBudget`] governing every subsequent solve (warm
     /// repairs and cold rebuilds alike), returning the previous budget.
     pub fn set_budget(&mut self, budget: SolveBudget) -> SolveBudget {

@@ -31,8 +31,7 @@
 //! After `finalize`, the slot arrays are the single source of truth for
 //! capacities; [`ResEdge::initial_cap`] is only the staging value.
 
-use crate::canon::CacheStamp;
-use crate::graph::{FlowNetwork, NodeId};
+use crate::graph::{CacheStamp, FlowNetwork, NodeId};
 
 /// One directed edge of the residual graph as staged by
 /// [`Residual::add_edge`]; live capacities move into the CSR slot arrays at

@@ -16,8 +16,7 @@
 //! the standard excess/deficit transformation; see
 //! [`min_cost_flow`] for the contract.
 
-use crate::canon::CacheStamp;
-use crate::graph::{FlowNetwork, NodeId};
+use crate::graph::{CacheStamp, FlowNetwork, NodeId};
 use crate::residual::{idx, Residual};
 use crate::workspace::{with_thread_workspace, SolverWorkspace, INF};
 use crate::{FlowSolution, NetflowError};
@@ -37,9 +36,9 @@ use crate::{FlowSolution, NetflowError};
 ///
 /// * [`NetflowError::Infeasible`] if no feasible flow of value `target`
 ///   satisfying all lower bounds exists.
-/// * [`NetflowError::NegativeCycle`] if a negative-cost cycle reachable from
-///   the source is detected; use [`Backend::Simplex`](crate::Backend::Simplex)
-///   for such networks.
+/// * [`NetflowError::NegativeCycle`] if the network has a negative-cost
+///   cycle of positive capacity, wherever it sits; use
+///   [`Backend::Simplex`](crate::Backend::Simplex) for such networks.
 /// * [`NetflowError::InvalidArc`] / [`NetflowError::Overflow`] if
 ///   [`FlowNetwork::validate_input`] rejects the instance (bad endpoints,
 ///   self-loops, negative target, overflow-prone magnitudes).
@@ -267,7 +266,7 @@ pub(crate) fn ssp_run(
 /// When the positive-capacity subgraph is a DAG (detected with Kahn's
 /// algorithm), one relaxation pass in topological order suffices — O(V+E).
 /// Otherwise SPFA with a deque handles negative costs on cyclic networks and
-/// reports negative cycles.
+/// reports any negative cycle, reachable from `s` or not.
 pub(crate) fn initial_potentials(
     res: &Residual,
     s: usize,
@@ -361,8 +360,23 @@ pub(crate) fn initial_potentials(
         return Ok(());
     }
 
-    // Cyclic: SPFA with a deque (small-label-first) and enqueue counting for
-    // negative-cycle detection.
+    // Cyclic: SPFA twice. The first pass starts every node at potential 0
+    // (a virtual root joined to all of them), so it finds a negative cycle
+    // wherever it sits, also where the source cannot reach it; the second
+    // starts from the source alone and yields the exact distances.
+    for st in &mut ws.node[..n] {
+        st.potential = 0;
+    }
+    spfa(res, ws)?;
+    seed(ws);
+    spfa(res, ws)
+}
+
+/// SPFA with a deque (small-label-first) and enqueue counting for
+/// negative-cycle detection, relaxing from every node whose potential is
+/// finite on entry.
+fn spfa(res: &Residual, ws: &mut SolverWorkspace) -> Result<(), NetflowError> {
+    let n = res.node_count();
     ws.queue.clear();
     ws.in_queue[..n].fill(false);
     ws.enqueues[..n].fill(0);
@@ -608,6 +622,23 @@ mod tests {
         net.add_arc(a, t, 1, 0).unwrap();
         let err = min_cost_flow(&net, s, t, 1).unwrap_err();
         assert!(matches!(err, NetflowError::NegativeCycle));
+    }
+
+    #[test]
+    fn negative_cycle_unreachable_from_the_source_is_detected() {
+        // The a <-> b cycle (cost -4 around) is disconnected from s and t,
+        // so a search seeded at the source alone never sees it; the optimum
+        // saturates it (the simplex returns -4), which SSP cannot do.
+        let mut net = FlowNetwork::new();
+        let ids = net.add_nodes(4);
+        let (s, t, a, b) = (ids[0], ids[1], ids[2], ids[3]);
+        net.add_arc(s, t, 1, 0).unwrap();
+        net.add_arc(a, b, 1, -5).unwrap();
+        net.add_arc(b, a, 1, 1).unwrap();
+        let err = min_cost_flow(&net, s, t, 1).unwrap_err();
+        assert!(matches!(err, NetflowError::NegativeCycle));
+        let reference = crate::min_cost_flow_network_simplex(&net, s, t, 1).unwrap();
+        assert_eq!(reference.cost, -4);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! increment instead of an O(V) fill.
 
 use crate::budget::SolveBudget;
-use crate::canon::CacheStamp;
+use crate::graph::CacheStamp;
 use crate::radix::RadixHeap;
 use crate::residual::Residual;
 use std::cell::RefCell;

@@ -46,22 +46,17 @@ fn build(dag: &RandomDag) -> (FlowNetwork, NodeId, NodeId) {
 }
 
 /// Whether the graph `edges` (`(from, to, cost)` over `n` nodes) has a
-/// negative-cost cycle reachable from `start` (`None`: from anywhere), by
-/// Bellman–Ford: a relaxation that still succeeds after `n` rounds proves
+/// negative-cost cycle anywhere, by Bellman–Ford from a virtual root joined
+/// to every node: a relaxation that still succeeds after `n` rounds proves
 /// one.
-fn negative_cycle_from(n: usize, edges: &[(usize, usize, i64)], start: Option<usize>) -> bool {
-    let mut dist: Vec<Option<i64>> = match start {
-        Some(s) => (0..n).map(|v| (v == s).then_some(0)).collect(),
-        None => vec![Some(0); n],
-    };
+fn has_negative_cycle(n: usize, edges: &[(usize, usize, i64)]) -> bool {
+    let mut dist = vec![0i64; n];
     for _ in 0..=n {
         let mut relaxed = false;
         for &(u, v, c) in edges {
-            if let Some(du) = dist[u] {
-                if dist[v].is_none_or(|dv| du + c < dv) {
-                    dist[v] = Some(du + c);
-                    relaxed = true;
-                }
+            if dist[u] + c < dist[v] {
+                dist[v] = dist[u] + c;
+                relaxed = true;
             }
         }
         if !relaxed {
@@ -92,7 +87,7 @@ fn residual_is_optimal(net: &FlowNetwork, sol: &FlowSolution) -> bool {
             edges.push((a.to.index(), a.from.index(), -a.cost));
         }
     }
-    !negative_cycle_from(net.node_count(), &edges, None)
+    !has_negative_cycle(net.node_count(), &edges)
 }
 
 proptest! {
@@ -120,9 +115,10 @@ proptest! {
     }
 
     /// On *cyclic* networks the simplex's flow is optimal by the residual
-    /// certificate. SSP refuses a negative cycle the flow can reach with
-    /// `NegativeCycle`; with no negative cycle at all it matches the
-    /// simplex's optimum.
+    /// certificate. SSP refuses any negative cycle with `NegativeCycle`,
+    /// including one on a detached ring of nodes that nothing reaches from
+    /// the source; with no negative cycle at all it matches the simplex's
+    /// optimum.
     #[test]
     fn simplex_is_optimal_and_ssp_refuses_negative_cycles(
         nodes in 3usize..7,
@@ -130,6 +126,8 @@ proptest! {
             (0usize..6, 0usize..6, 1i64..4, -9i64..9),
             2..14,
         ),
+        ring in 0usize..4,
+        ring_cost in -9i64..0,
         target in 0i64..4,
     ) {
         let mut net = FlowNetwork::new();
@@ -140,12 +138,20 @@ proptest! {
                 net.add_arc(ids[f], ids[t_], cap, cost).expect("valid");
             }
         }
+        if ring >= 2 {
+            // A ring of fresh nodes with total cost `ring_cost` < 0: no arc
+            // joins it to the rest, so the source cannot reach it.
+            let nodes_of_ring = net.add_nodes(ring);
+            for i in 0..ring {
+                let c = if i == 0 { ring_cost } else { 0 };
+                let (from, to) = (nodes_of_ring[i], nodes_of_ring[(i + 1) % ring]);
+                net.add_arc(from, to, 1, c).expect("valid");
+            }
+        }
         let s = ids[0];
         let t = ids[nodes - 1];
-        let edges = forward_edges(&net);
-        let any_negative = negative_cycle_from(nodes, &edges, None);
-        let reachable_negative =
-            target > 0 && negative_cycle_from(nodes, &edges, Some(s.index()));
+        let any_negative = has_negative_cycle(net.node_count(), &forward_edges(&net));
+        prop_assert!(ring < 2 || any_negative);
         let nsx = min_cost_flow_network_simplex(&net, s, t, target);
         let ssp = min_cost_flow(&net, s, t, target);
         match &nsx {
@@ -161,15 +167,9 @@ proptest! {
         match (&nsx, ssp) {
             (_, Err(NetflowError::NegativeCycle)) => prop_assert!(any_negative),
             (Ok(b), Ok(a)) => {
-                prop_assert!(!reachable_negative, "ssp missed a reachable negative cycle");
+                prop_assert!(!any_negative, "ssp missed a negative cycle");
                 validate(&net, s, t, &a).unwrap();
-                if any_negative {
-                    // An unreachable cycle escapes SSP; its flow is still
-                    // feasible, so never better than the optimum.
-                    prop_assert!(a.cost >= b.cost);
-                } else {
-                    prop_assert_eq!(a.cost, b.cost);
-                }
+                prop_assert_eq!(a.cost, b.cost);
             }
             (Err(NetflowError::Infeasible { .. }), Err(NetflowError::Infeasible { .. })) => {}
             (b, a) => prop_assert!(false, "disagreement: ssp {a:?} vs simplex {b:?}"),

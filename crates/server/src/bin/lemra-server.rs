@@ -8,9 +8,9 @@
 //! Flags override the corresponding environment variables
 //! (`LEMRA_LISTEN`, `LEMRA_ADMIN`, `LEMRA_QUEUE_DEPTH`,
 //! `LEMRA_REQ_TIMEOUT_MS`, `LEMRA_MAX_PAYLOAD`); the solver-side knobs
-//! (`LEMRA_BACKEND`, `LEMRA_THREADS`, `LEMRA_CACHE`, `LEMRA_FAULT`, …)
-//! are read by the pipeline as usual. `--timings` flushes the shared
-//! pipeline/cache stats block to stderr on exit.
+//! (`LEMRA_BACKEND`, `LEMRA_THREADS`, `LEMRA_FAULT`, …) are read by the
+//! pipeline as usual. `--timings` flushes the pipeline stage-timing block
+//! to stderr on exit.
 //!
 //! SIGTERM and SIGINT begin a graceful drain: the listener stops
 //! accepting, new frames are refused with `shutting_down`, every admitted
@@ -124,7 +124,7 @@ fn main() {
     server.join();
     eprint!("{}", server.metrics().render_stats(0, cfg.workers));
     if timings {
-        eprint!("{}", lemra_core::StatsSnapshot::collect().render_timings());
+        eprint!("{}", lemra_core::pipeline_stats().render_timings());
     }
     eprintln!("lemra-server: drained, exiting");
 }

@@ -49,7 +49,7 @@ impl std::error::Error for ConfigError {}
 /// Built from the environment ([`ServerConfig::from_env`]) or explicitly by
 /// the binary's flag parser, then handed to
 /// [`Server::start`](crate::Server::start). The solver-side knobs
-/// (`LEMRA_BACKEND`, `LEMRA_THREADS`, `LEMRA_CACHE`, …) stay in
+/// (`LEMRA_BACKEND`, `LEMRA_THREADS`, `LEMRA_COLD`, …) stay in
 /// [`LemraConfig`] — the server only adds transport concerns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {

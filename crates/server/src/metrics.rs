@@ -118,13 +118,10 @@ impl ServerMetrics {
         counter.load(Ordering::Relaxed)
     }
 
-    /// Renders the admin `stats` reply: `STAT <name> <value>` lines
-    /// followed by the shared pipeline/cache snapshot
-    /// ([`lemra_core::StatsSnapshot`]) as further `STAT` lines, terminated
-    /// by `END`.
+    /// Renders the admin `stats` reply: `STAT <name> <value>` lines,
+    /// terminated by `END`.
     pub fn render_stats(&self, queue_depth: usize, workers: usize) -> String {
         use std::fmt::Write as _;
-        let snapshot = lemra_core::StatsSnapshot::collect();
         let (p50, p99) = self.latency_quantiles_us();
         let mut out = String::new();
         let mut stat = |name: &str, value: u64| {
@@ -154,11 +151,6 @@ impl ServerMetrics {
         stat("latency_p99_us", p99);
         stat("queue_depth", queue_depth as u64);
         stat("workers", workers as u64);
-        stat("cache_exact_hits", snapshot.cache.exact_hits);
-        stat("cache_warm_hits", snapshot.cache.warm_hits);
-        stat("cache_misses", snapshot.cache.misses);
-        stat("cache_insertions", snapshot.cache.insertions);
-        stat("cache_evictions", snapshot.cache.evictions);
         out.push_str("END\n");
         out
     }

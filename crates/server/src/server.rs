@@ -141,7 +141,7 @@ impl Server {
 
         let mut threads = Vec::with_capacity(workers + 2);
         // The workers fork one parent context so they all inherit the same
-        // backend/cache configuration snapshot.
+        // backend configuration snapshot.
         let parent = PipelineCx::new();
         for i in 0..workers {
             let shared = Arc::clone(&shared);
